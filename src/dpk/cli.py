@@ -31,11 +31,25 @@ def _diag_to_obj(d):
     }
 
 
-def _read_operator(path):
+def _read_text(path):
     if path == "-":
-        return load_operator(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_operator(fh.read())
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_operator(path):
+    return load_operator(_read_text(path))
+
+
+def _read_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise IoError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _emit(args, payload, csv_text=None):
@@ -178,8 +192,7 @@ def cmd_autos(args):
         _emit(args, {"derivation_norm": autos.stampfli_derivation_norm(a, tol=tol)})
         return 0
     if args.action == "normal-form":
-        with open(args.operator, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec = _read_json(args.operator)
         gens = []
         for item in spec["generators"]:
             kind = item["kind"]
@@ -252,9 +265,11 @@ def cmd_topo(args):
         _emit(args, payload)
         return 0
     if args.action == "winding":
-        with open(args.operator, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        loop = topology.UnitaryLoop([operator_from_obj(o) for o in spec["samples"]])
+        spec = _read_json(args.operator)
+        samples = spec.get("samples") if isinstance(spec, dict) else None
+        if not isinstance(samples, list):
+            raise IoError("winding input must be an object with a 'samples' list")
+        loop = topology.UnitaryLoop([operator_from_obj(o) for o in samples])
         if args.kind == "diagonal":
             head_w, tail_w = topology.loop_winding(loop, "diagonal")
             payload = {"head": head_w.tolist(), "tail": tail_w.tolist()}

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import AlignmentError, NonFiniteEntry, NotInDpk
-from .linalg import dedup_complex, svmax
+from .linalg import block_norm, dedup_complex, svmax
 
 EQ_TOL = 1e-12
 
@@ -95,15 +95,22 @@ class EopOperator:
         if p_new % p or m_new % p_new or m_new < m:
             raise AlignmentError(f"cannot expand ({m},{p}) to ({m_new},{p_new})")
         head = np.zeros((m_new, m_new), dtype=np.complex128)
-        head[:m, :m] = self.head
-        for j in range((m_new - m) // p):
-            s = m + j * p
-            head[s : s + p, s : s + p] = self.tail
         tail = np.zeros((p_new, p_new), dtype=np.complex128)
-        for j in range(p_new // p):
-            s = j * p
-            tail[s : s + p, s : s + p] = self.tail
+        self._fill(head, tail)
         return EopOperator._new(head, tail)
+
+    def _fill(self, head, tail):
+        """Write this operator's blocks into zeroed arrays of a coarser grid.
+
+        ``head`` and ``tail`` must be zero and of a grid this one expands
+        to (see ``expand``); they may be views into larger stacks.
+        """
+        m, p = self.m, self.p
+        head[:m, :m] = self.head
+        for s in range(m, head.shape[0], p):
+            head[s : s + p, s : s + p] = self.tail
+        for s in range(0, tail.shape[0], p):
+            tail[s : s + p, s : s + p] = self.tail
 
     def dense(self, n):
         """Top-left n x n corner of the infinite matrix."""
@@ -231,7 +238,8 @@ class Diagonal:
         return f"Diagonal(m={self.m}, p={self.p})"
 
     def to_operator(self):
-        return EopOperator(np.diag(self.head_entries), np.diag(self.tail_pattern))
+        # The entries were validated on construction, so no re-check.
+        return EopOperator._new(np.diag(self.head_entries), np.diag(self.tail_pattern))
 
     def expand(self, m_new, p_new):
         if (m_new, p_new) == (self.m, self.p):
@@ -284,16 +292,21 @@ def zero(m=0, p=1):
     )
 
 
+def common_grid(values):
+    """Smallest (m, p) grid every value expands to: lcm period, head rounded up."""
+    p_new = math.lcm(*(v.p for v in values))
+    m_new = -(-max(v.m for v in values) // p_new) * p_new
+    return m_new, p_new
+
+
 def align(a, b):
     """Re-represent both operators on the common (lcm-period) grid."""
-    p_new = math.lcm(a.p, b.p)
-    m_new = -(-max(a.m, b.m) // p_new) * p_new
+    m_new, p_new = common_grid((a, b))
     return a.expand(m_new, p_new), b.expand(m_new, p_new)
 
 
 def align_diagonals(a, b):
-    p_new = math.lcm(a.p, b.p)
-    m_new = -(-max(a.m, b.m) // p_new) * p_new
+    m_new, p_new = common_grid((a, b))
     return a.expand(m_new, p_new), b.expand(m_new, p_new)
 
 
@@ -346,21 +359,11 @@ def canonical_decompose(t):
     return DpkElement(d, compact)
 
 
-def _block_norm(b):
-    if b.size == 0:
-        return 0.0
-    d = np.diagonal(b)
-    # Exactly diagonal blocks need no SVD: the norm is the largest modulus.
-    if np.count_nonzero(b) == np.count_nonzero(d):
-        return float(np.max(np.abs(d)))
-    return svmax(b)
-
-
 def operator_norm(t):
     """Exact operator norm: max singular value over the two blocks."""
-    vals = [_block_norm(t.tail)]
+    vals = [block_norm(t.tail)]
     if t.m:
-        vals.append(_block_norm(t.head))
+        vals.append(block_norm(t.head))
     return float(max(vals))
 
 

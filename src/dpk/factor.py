@@ -12,9 +12,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import Diagonal, EopOperator, delta, identity, is_dpk_member, operator_norm
+from .core import Diagonal, EopOperator, delta, is_dpk_member, operator_norm
 from .errors import NoConvergence, NotInDpk, NotPositive, NotUnitary
 from .linalg import (
+    block_norms,
     expi_hermitian,
     herm,
     log_hermitian_pd,
@@ -35,8 +36,24 @@ def exp_ih(x):
     return EopOperator(head, tail)
 
 
+def _gram_defects(blocks):
+    """norm(B* B - I) for each matrix B of an (n, k, k) stack."""
+    gram = blocks.conj().transpose(0, 2, 1).copy() @ blocks
+    return block_norms(gram - np.eye(blocks.shape[-1], dtype=np.complex128))
+
+
+def unitarity_defects(heads, tails):
+    """unitarity_defect of each sample of an (n, m, m) head stack and an
+    (n, p, p) tail stack."""
+    return np.maximum(_gram_defects(tails), _gram_defects(heads))
+
+
 def unitarity_defect(u):
-    return operator_norm(u.adjoint() @ u - identity())
+    """norm(U* U - I), block by block: the identity needs no alignment.
+
+    Same arithmetic, bit for bit, as forming U* U - I on U's own grid.
+    """
+    return float(unitarity_defects(u.head[None], u.tail[None])[0])
 
 
 def require_unitary(u, tol=UNITARY_TOL):

@@ -3,7 +3,9 @@
 All eigen/SVD work on model blocks funnels through these wrappers so that
 runs are reproducible: Hermitian eigenvalues come out ascending from LAPACK,
 singular values descending, and matrix functions of normal matrices are
-assembled from a complex Schur form with the off-diagonal discarded.
+assembled from a complex Schur form with the off-diagonal discarded.  The
+stacked kernels (``block_norms``, ``eigenphase_sums``) take (n, k, k) arrays
+and give, matrix by matrix, the same bits as their one-block counterparts.
 """
 
 import numpy as np
@@ -27,6 +29,41 @@ def svdvals(a):
 def svmax(a):
     s = svdvals(a)
     return float(s[0]) if s.size else 0.0
+
+
+def block_norm(b):
+    """Spectral norm of one block; an exactly diagonal block takes no SVD."""
+    if b.size == 0:
+        return 0.0
+    d = np.diagonal(b)
+    # Exactly diagonal blocks need no SVD: the norm is the largest modulus.
+    if np.count_nonzero(b) == np.count_nonzero(d):
+        return float(np.max(np.abs(d)))
+    return svmax(b)
+
+
+def exactly_diagonal(blocks):
+    """For each matrix of an (n, k, k) stack: are all off-diagonal entries 0?"""
+    d = np.diagonal(blocks, axis1=1, axis2=2)
+    return np.count_nonzero(blocks, axis=(1, 2)) == np.count_nonzero(d, axis=1)
+
+
+def block_norms(blocks):
+    """block_norm of each matrix of an (n, k, k) stack, bit for bit.
+
+    Exactly diagonal matrices take the largest modulus of their diagonal;
+    the rest share one stacked SVD call.
+    """
+    out = np.zeros(blocks.shape[0])
+    if blocks.shape[-1] == 0:
+        return out
+    d = np.diagonal(blocks, axis1=1, axis2=2)
+    exact = exactly_diagonal(blocks)
+    if exact.any():
+        out[exact] = np.max(np.abs(d[exact]), axis=1)
+    if not exact.all():
+        out[~exact] = np.linalg.svd(blocks[~exact], compute_uv=False)[:, 0]
+    return out
 
 
 def svmin(a):
@@ -87,6 +124,19 @@ def log_unitary_matrix(u):
     t, q = scipy.linalg.schur(np.ascontiguousarray(u), output="complex")
     theta = principal_phases(np.diagonal(t))
     return herm((q * theta) @ q.conj().T)
+
+
+def eigenphase_sums(a, b):
+    """Sum of the principal eigenphases of a[k]* b[k] for each k.
+
+    ``a`` and ``b`` are (n, k, k) stacks of unitaries; the sums are the
+    phase increments of det along consecutive samples, one LAPACK call per
+    stack.
+    """
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[0])
+    ratios = a.conj().transpose(0, 2, 1) @ b
+    return np.sum(np.angle(np.linalg.eigvals(ratios)), axis=1)
 
 
 def polar_unitary(w):

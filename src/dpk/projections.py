@@ -65,6 +65,18 @@ class ModelProjection:
             )
         self.op = candidate
 
+    @classmethod
+    def _trusted(cls, op):
+        """Wrap a block re-representation of an already validated projection.
+
+        Validation would change no bits here (``herm`` of an exactly
+        Hermitian head and rounding of an exact 0/1 pattern are no-ops), so
+        it is skipped; user input goes through the constructor.
+        """
+        self = object.__new__(cls)
+        self.op = op
+        return self
+
     @property
     def m(self):
         return self.op.m
@@ -86,7 +98,7 @@ class ModelProjection:
         return np.diagonal(self.op.tail).real.astype(int)
 
     def expand(self, m_new, p_new):
-        return ModelProjection(self.op.expand(m_new, p_new))
+        return ModelProjection._trusted(self.op.expand(m_new, p_new))
 
     def head_rank(self):
         if self.m == 0:
@@ -153,7 +165,7 @@ def projection_diag_decompose(p):
 
 def _aligned_comparable(p, q):
     a, b = align(p.op, q.op)
-    pa, qb = ModelProjection(a), ModelProjection(b)
+    pa, qb = ModelProjection._trusted(a), ModelProjection._trusted(b)
     if not np.array_equal(pa.pattern(), qb.pattern()):
         raise NotComparable("tail patterns differ; difference is not compact")
     return pa, qb
@@ -331,7 +343,7 @@ def rank_nullity_conjugacy(p, q):
     only through permutations outside the model raise ModelLimitation.
     """
     a, b = align(p.op, q.op)
-    pa, qb = ModelProjection(a), ModelProjection(b)
+    pa, qb = ModelProjection._trusted(a), ModelProjection._trusted(b)
     ca, cb = classify_component(pa), classify_component(qb)
     if ca.kind != cb.kind:
         raise NotConjugate(f"component kinds differ: {ca.kind} vs {cb.kind}")

@@ -14,59 +14,89 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import Diagonal, EopOperator, align, identity, is_dpk_member, operator_norm
+from .core import Diagonal, EopOperator, common_grid, identity, is_dpk_member, operator_norm
 from .errors import (
     KindMismatch,
     NotInBall,
     NotInDpk,
     NotOrthogonalPatterns,
+    NotUnitary,
     StepTooLarge,
 )
-from .factor import log_unitary, require_unitary
+from .factor import log_unitary, require_unitary, unitarity_defects
+from .linalg import block_norms, eigenphase_sums, exactly_diagonal
 from .projections import ModelProjection, _canonical_diagonal, pair_index
 
 MAX_LOOP_STEP = 0.5
+LOOP_UNITARY_TOL = 1e-9
+# Stacked checks run on chunks of samples holding at most this many cells
+# per block stack, so their temporaries stay small whatever the loop length.
+CHUNK_CELLS = 8192
+
+
+def _chunks(n, k):
+    """(samples, next samples) index pairs covering a loop of n samples of
+    k x k blocks; the sample after the last is the first."""
+    step = max(1, CHUNK_CELLS // max(k * k, 1))
+    return [(slice(a, min(a + step, n)), np.arange(a + 1, min(a + step, n) + 1) % n)
+            for a in range(0, n, step)]
 
 
 class UnitaryLoop:
-    """Closed loop of model unitaries, aligned to a common grid on creation.
+    """Closed loop of model unitaries, stored as stacks on one common grid.
 
-    Consecutive samples (wrapping around) must stay closer than 0.5 in norm
-    so that every entrywise phase step is well inside (-pi/3, pi/3) and the
-    winding numbers below are unambiguous.
+    On creation the samples are copied once onto their common (lcm-period)
+    grid: ``heads`` is the read-only (n, m, m) stack of head blocks and
+    ``tails`` the (n, p, p) stack of tail blocks.  ``samples[k]`` is a
+    read-only operator whose blocks are views of ``heads[k]`` and
+    ``tails[k]``.
+
+    Every sample must be unitary within 1e-9 (NotUnitary), and consecutive
+    samples, wrapping around from the last to the first, must stay closer
+    than 0.5 in norm (StepTooLarge), so that every entrywise phase step is
+    well inside (-pi/3, pi/3) and the winding numbers below are unambiguous.
+    Unitarity is checked for all samples before any step.  Both checks run
+    on the stacks in chunks of at most ``CHUNK_CELLS`` cells per block, so
+    their temporaries stay bounded; exactly diagonal blocks take no SVD.
     """
 
-    __slots__ = ("samples", "max_step")
+    __slots__ = ("heads", "tails", "samples", "max_step")
 
     def __init__(self, samples):
         samples = list(samples)
-        if len(samples) < 2:
+        n = len(samples)
+        if n < 2:
             raise StepTooLarge("a loop needs at least two samples")
-        base = samples[0]
-        for s in samples[1:]:
-            base, _ = align(base, s)
-        aligned = []
-        for s in samples:
-            a, _ = align(s, base)
-            require_unitary(a, 1e-9)
-            aligned.append(a)
-        steps = [
-            operator_norm(aligned[(k + 1) % len(aligned)] - aligned[k])
-            for k in range(len(aligned))
-        ]
-        worst = max(steps)
+        m, p = common_grid(samples)
+        heads = np.zeros((n, m, m), dtype=np.complex128)
+        tails = np.zeros((n, p, p), dtype=np.complex128)
+        for k, s in enumerate(samples):
+            s._fill(heads[k], tails[k])
+        heads.setflags(write=False)
+        tails.setflags(write=False)
+        chunks = _chunks(n, max(m, p))
+        for here, _ in chunks:
+            if np.max(unitarity_defects(heads[here], tails[here])) > LOOP_UNITARY_TOL:
+                raise NotUnitary("operand is not unitary within tolerance")
+        worst = 0.0
+        for here, after in chunks:
+            steps = np.maximum(block_norms(tails[after] - tails[here]),
+                               block_norms(heads[after] - heads[here]))
+            worst = max(worst, float(np.max(steps)))
         if worst >= MAX_LOOP_STEP:
             raise StepTooLarge(f"largest sample gap {worst:.3f} >= {MAX_LOOP_STEP}")
-        self.samples = tuple(aligned)
+        self.heads = heads
+        self.tails = tails
+        self.samples = tuple(EopOperator._new(h, t) for h, t in zip(heads, tails))
         self.max_step = worst
 
     @property
     def m(self):
-        return self.samples[0].m
+        return self.heads.shape[1]
 
     @property
     def p(self):
-        return self.samples[0].p
+        return self.tails.shape[1]
 
     def __len__(self):
         return len(self.samples)
@@ -74,10 +104,6 @@ class UnitaryLoop:
     def concatenate(self, other):
         """Run this loop, then the other; windings add."""
         return UnitaryLoop(list(self.samples) + list(other.samples))
-
-
-def _phase_increment_sum(values_from, values_to):
-    return np.angle(values_to / values_from)
 
 
 def _round_integer(x, what):
@@ -88,41 +114,35 @@ def _round_integer(x, what):
 
 
 def loop_winding(loop, kind):
-    """Winding data of a closed loop.
+    """Winding data of a closed loop, computed on its head and tail stacks.
 
     ``kind='diagonal'`` needs exactly diagonal samples and returns one
     integer per head entry and per tail residue (accumulated principal phase
     increments over the loop).  ``kind='compact'`` needs samples with tail
     equal to the identity and returns the winding of det(head), accumulated
-    through the eigenphases of each consecutive ratio so no step can alias.
+    through the eigenphases of each consecutive ratio so no step can alias;
+    the ratios are formed in chunks of at most ``CHUNK_CELLS`` cells.
+    Increments are summed in sample order, as a running total would be.
     """
-    n = len(loop)
+    n, m = len(loop), loop.m
     if kind == "diagonal":
-        for s in loop.samples:
-            if not s.is_diagonal():
-                raise KindMismatch("diagonal winding needs diagonal samples")
-        entries = np.stack(
-            [
-                np.concatenate([np.diagonal(s.head), np.diagonal(s.tail)])
-                for s in loop.samples
-            ]
-        )
-        total = np.zeros(entries.shape[1])
-        for k in range(n):
-            total += _phase_increment_sum(entries[k], entries[(k + 1) % n])
+        if not (exactly_diagonal(loop.heads).all() and exactly_diagonal(loop.tails).all()):
+            raise KindMismatch("diagonal winding needs diagonal samples")
+        entries = np.concatenate([np.diagonal(loop.heads, axis1=1, axis2=2),
+                                  np.diagonal(loop.tails, axis1=1, axis2=2)], axis=1)
+        increments = np.angle(np.roll(entries, -1, axis=0) / entries)
+        total = np.cumsum(increments, axis=0)[-1]
         winding = _round_integer(total / (2.0 * np.pi), "diagonal winding")
-        return winding[: loop.m].copy(), winding[loop.m :].copy()
+        return winding[:m].copy(), winding[m:].copy()
     if kind == "compact":
         eye_t = np.eye(loop.p, dtype=np.complex128)
-        for s in loop.samples:
-            if float(np.max(np.abs(s.tail - eye_t))) > 1e-9:
-                raise KindMismatch("compact winding needs tail = identity")
+        if float(np.max(np.abs(loop.tails - eye_t))) > 1e-9:
+            raise KindMismatch("compact winding needs tail = identity")
         total = 0.0
-        for k in range(n):
-            if loop.m == 0:
-                break
-            ratio = loop.samples[k].head.conj().T @ loop.samples[(k + 1) % n].head
-            total += float(np.sum(np.angle(np.linalg.eigvals(ratio))))
+        if m:
+            sums = np.concatenate([eigenphase_sums(loop.heads[here], loop.heads[after])
+                                   for here, after in _chunks(n, m)])
+            total = float(np.cumsum(sums)[-1])
         winding = _round_integer(np.array([total / (2.0 * np.pi)]), "det winding")
         return int(winding[0])
     raise KindMismatch(f"unknown loop kind {kind!r}")

@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from dpk.core import align, operator_norm
+from dpk.errors import KindMismatch, StepTooLarge
+from dpk.factor import require_unitary
+
 
 def dense_embed(op, n):
     """Top-left n x n corner of the infinite matrix, built entry by entry."""
@@ -77,3 +81,95 @@ def grid_chebyshev_value(points, step=1e-4, refine_from=1e-2):
     _, lam1 = sweep(0.0, 0.0, radius, refine_from)
     best, _ = sweep(lam1.real, lam1.imag, 2 * refine_from, step)
     return best
+
+
+# Per-sample reference for the stacked topology.UnitaryLoop / loop_winding:
+# the sample-by-sample implementation they replaced, kept verbatim.  Unlike
+# the oracles above it builds on the library's align, operator_norm and
+# require_unitary, one sample at a time.
+
+REF_MAX_LOOP_STEP = 0.5
+
+
+class ReferenceUnitaryLoop:
+    """Closed loop of model unitaries, aligned to a common grid on creation."""
+
+    __slots__ = ("samples", "max_step")
+
+    def __init__(self, samples):
+        samples = list(samples)
+        if len(samples) < 2:
+            raise StepTooLarge("a loop needs at least two samples")
+        base = samples[0]
+        for s in samples[1:]:
+            base, _ = align(base, s)
+        aligned = []
+        for s in samples:
+            a, _ = align(s, base)
+            require_unitary(a, 1e-9)
+            aligned.append(a)
+        steps = [
+            operator_norm(aligned[(k + 1) % len(aligned)] - aligned[k])
+            for k in range(len(aligned))
+        ]
+        worst = max(steps)
+        if worst >= REF_MAX_LOOP_STEP:
+            raise StepTooLarge(f"largest sample gap {worst:.3f} >= {REF_MAX_LOOP_STEP}")
+        self.samples = tuple(aligned)
+        self.max_step = worst
+
+    @property
+    def m(self):
+        return self.samples[0].m
+
+    @property
+    def p(self):
+        return self.samples[0].p
+
+    def __len__(self):
+        return len(self.samples)
+
+
+def _phase_increment_sum(values_from, values_to):
+    return np.angle(values_to / values_from)
+
+
+def _round_integer(x, what):
+    rounded = np.round(x)
+    if np.max(np.abs(x - rounded)) > 1e-6:
+        raise StepTooLarge(f"{what} did not close up to an integer")
+    return rounded.astype(int)
+
+
+def reference_loop_winding(loop, kind):
+    """Winding data of a closed loop, one sample at a time."""
+    n = len(loop)
+    if kind == "diagonal":
+        for s in loop.samples:
+            if not s.is_diagonal():
+                raise KindMismatch("diagonal winding needs diagonal samples")
+        entries = np.stack(
+            [
+                np.concatenate([np.diagonal(s.head), np.diagonal(s.tail)])
+                for s in loop.samples
+            ]
+        )
+        total = np.zeros(entries.shape[1])
+        for k in range(n):
+            total += _phase_increment_sum(entries[k], entries[(k + 1) % n])
+        winding = _round_integer(total / (2.0 * np.pi), "diagonal winding")
+        return winding[: loop.m].copy(), winding[loop.m :].copy()
+    if kind == "compact":
+        eye_t = np.eye(loop.p, dtype=np.complex128)
+        for s in loop.samples:
+            if float(np.max(np.abs(s.tail - eye_t))) > 1e-9:
+                raise KindMismatch("compact winding needs tail = identity")
+        total = 0.0
+        for k in range(n):
+            if loop.m == 0:
+                break
+            ratio = loop.samples[k].head.conj().T @ loop.samples[(k + 1) % n].head
+            total += float(np.sum(np.angle(np.linalg.eigvals(ratio))))
+        winding = _round_integer(np.array([total / (2.0 * np.pi)]), "det winding")
+        return int(winding[0])
+    raise KindMismatch(f"unknown loop kind {kind!r}")

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, expect=0):
     proc = subprocess.run(
@@ -147,6 +149,27 @@ def test_topo_winding(tmp_path):
     data = json.loads(run_cli("topo", "winding", str(path), "--kind", "diagonal"))
     assert data["head"] == [1, 0, 0, 0]
     assert data["tail"] == [0, 0]
+
+
+@pytest.mark.parametrize("content", [
+    '{"samples": [',  # truncated JSON
+    '{"loop": []}',  # no "samples" key
+    '{"samples": 3}',  # samples not a list
+    '[1, 2]',  # not an object
+    None,  # missing file
+], ids=["truncated", "no_samples_key", "samples_not_list", "not_object", "missing_file"])
+def test_topo_winding_bad_input(tmp_path, content):
+    path = tmp_path / "loop.json"
+    if content is not None:
+        path.write_text(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpk.cli", "topo", "winding", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: IoError: "), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_error_reporting(tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from dpk.core import Diagonal, identity, operator_norm
+from dpk.core import Diagonal, EopOperator, identity, operator_norm
 from dpk.errors import (
+    DpkError,
     KindMismatch,
     NotInBall,
+    NotUnitary,
     NotOrthogonalPatterns,
     StepTooLarge,
 )
@@ -24,6 +26,8 @@ from dpk.topology import (
     k0_class,
     loop_winding,
 )
+
+from _oracles import ReferenceUnitaryLoop, reference_loop_winding
 
 
 def _phase_loop(m, p, j, turns=1, samples=64):
@@ -161,3 +165,131 @@ def test_k0_add_aligns_periods():
     combined = k0_add(a, b)
     assert combined.tail_pattern == (1, 1, 1, 1)
     assert combined.z_part == 1
+
+
+# Batched loops against the per-sample reference in _oracles.
+
+def _regrid(ops, grids):
+    """Represent each operator on the next (m, p) grid in turn."""
+    return [op.expand(*grids[k % len(grids)]) for k, op in enumerate(ops)]
+
+
+def _mixed_period_samples():
+    # Head entry 0 winds once, tail residue 0 of a period-2 pattern winds
+    # twice; the samples come on grids of periods 2, 4 and 6.
+    ops = []
+    for t in np.linspace(0.0, 1.0, 96, endpoint=False):
+        head = np.array([np.exp(2j * np.pi * t), 1.0])
+        tail = np.array([np.exp(4j * np.pi * t), 1.0])
+        ops.append(Diagonal(head, tail).to_operator())
+    return _regrid(ops, [(2, 2), (4, 4), (6, 6)])
+
+
+def _mixed_period_compact_samples():
+    # Non-diagonal heads, tail = identity, on grids of periods 1, 2 and 3.
+    x = random_compact_hermitian(trial_rng(15, 0), 3, 1, 0.4)
+    ops = [exp_ih(x * np.sin(2 * np.pi * t))
+           for t in np.linspace(0.0, 1.0, 40, endpoint=False)]
+    return _regrid(ops, [(3, 1), (4, 2), (6, 3)])
+
+
+def _empty_head_samples():
+    return [Diagonal(np.zeros(0), np.array([np.exp(2j * np.pi * t), 1.0])).to_operator()
+            for t in np.linspace(0.0, 1.0, 32, endpoint=False)]
+
+
+def _nondiagonal_tail_samples():
+    ops = []
+    for t in np.linspace(0.0, 1.0, 32, endpoint=False):
+        c, s = np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)
+        ops.append(EopOperator(np.eye(2), np.array([[c, -s], [s, c]])))
+    return ops
+
+
+def _open_at_the_end_samples():
+    # Every step is small except the wrap-around from last to first.
+    return [Diagonal(np.array([np.exp(1.8j * np.pi * t)]), np.ones(1)).to_operator()
+            for t in np.linspace(0.0, 1.0, 64)]
+
+
+def _one_non_unitary_sample():
+    ops = [Diagonal(np.array([np.exp(2j * np.pi * t), 1.0]), np.ones(1)).to_operator()
+           for t in np.linspace(0.0, 1.0, 32, endpoint=False)]
+    ops[16] = ops[16] * 1.001
+    return ops
+
+
+def _compact_with_tail_samples():
+    x = random_compact_hermitian(trial_rng(15, 1), 4, 2, 0.3)
+    tail = Diagonal(np.ones(4), np.array([1.0, 1j])).to_operator()
+    return [tail @ exp_ih(x * np.sin(2 * np.pi * t))
+            for t in np.linspace(0.0, 1.0, 24, endpoint=False)]
+
+
+LOOP_CASES = {
+    "mixed_periods": _mixed_period_samples,
+    "mixed_periods_compact": _mixed_period_compact_samples,
+    "empty_head": _empty_head_samples,
+    "nondiagonal_tail": _nondiagonal_tail_samples,
+    "open_at_the_end": _open_at_the_end_samples,
+    "one_non_unitary": _one_non_unitary_sample,
+    "compact_with_tail": _compact_with_tail_samples,
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DpkError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_batched_loop_matches_reference(case):
+    samples = LOOP_CASES[case]()
+    batched = _outcome(UnitaryLoop, samples)
+    ref = _outcome(ReferenceUnitaryLoop, samples)
+    if isinstance(ref, type):
+        assert batched is ref
+        return
+    assert batched.max_step == ref.max_step
+    assert (batched.m, batched.p) == (ref.m, ref.p)
+    for got, want in zip(batched.samples, ref.samples, strict=True):
+        np.testing.assert_array_equal(got.head, want.head)
+        np.testing.assert_array_equal(got.tail, want.tail)
+    for kind in ("diagonal", "compact", "nonsense"):
+        got = _outcome(loop_winding, batched, kind)
+        want = _outcome(reference_loop_winding, ref, kind)
+        if isinstance(want, tuple):
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+        else:
+            assert got == want
+
+
+def test_loop_cases_cover_each_outcome():
+    outcomes = {case: _outcome(UnitaryLoop, make()) for case, make in LOOP_CASES.items()}
+    assert outcomes["open_at_the_end"] is StepTooLarge
+    assert outcomes["one_non_unitary"] is NotUnitary
+    head_w, tail_w = loop_winding(outcomes["mixed_periods"], "diagonal")
+    assert head_w.tolist() == [1, 0] + [2, 0] * 5 and tail_w.tolist() == [2, 0] * 6
+    assert _outcome(loop_winding, outcomes["empty_head"], "diagonal")[1].tolist() == [1, 0]
+    assert _outcome(loop_winding, outcomes["empty_head"], "compact") is KindMismatch
+    assert _outcome(loop_winding, outcomes["nondiagonal_tail"], "diagonal") is KindMismatch
+    assert _outcome(loop_winding, outcomes["compact_with_tail"], "compact") is KindMismatch
+    assert loop_winding(outcomes["mixed_periods_compact"], "compact") == 0
+
+
+def test_loop_samples_are_read_only_views():
+    samples = _mixed_period_samples()
+    loop = UnitaryLoop(samples)
+    assert (loop.heads.shape, loop.tails.shape) == ((96, 12, 12), (96, 12, 12))
+    for s, view in zip(samples, loop.samples, strict=True):
+        expanded = s.expand(loop.m, loop.p)
+        np.testing.assert_array_equal(view.head, expanded.head)
+        np.testing.assert_array_equal(view.tail, expanded.tail)
+        assert np.shares_memory(view.head, loop.heads)
+        with pytest.raises(ValueError):
+            view.head[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            view.tail[0, 0] = 0.0
