@@ -52,6 +52,41 @@ def _read_json(path):
         raise IoError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _field(obj, key, kind, what):
+    """obj[key], which must be of the given type (IoError otherwise)."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind):
+        raise IoError(f"{what} needs a {kind.__name__} field {key!r}")
+    return value
+
+
+def _entries(obj, key, what):
+    try:
+        return [complex(re, im) for re, im in _field(obj, key, list, what)]
+    except (TypeError, ValueError) as exc:
+        raise IoError(f"{what}: {key!r} must be a list of [re, im] pairs") from exc
+
+
+def _perm(obj, key, what):
+    values = _field(obj, key, list, what)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise IoError(f"{what}: {key!r} must be a list of integers")
+    return values
+
+
+def _generator_from_obj(item, k):
+    """One generator of an ``autos normal-form`` input file."""
+    what = f"generator {k}"
+    kind = _field(item, "kind", str, what)
+    if kind == "diagonal":
+        return Diagonal(_entries(item, "head", what), _entries(item, "tail", what))
+    if kind == "exponent":
+        return operator_from_obj(_field(item, "operator", dict, what))
+    if kind == "permutation":
+        return autos.PermutationSpec(_perm(item, "head_perm", what), _perm(item, "tail_perm", what))
+    raise IoError(f"{what}: unknown kind {kind!r}")
+
+
 def _emit(args, payload, csv_text=None):
     if getattr(args, "format", "json") == "csv" and csv_text is not None:
         text = csv_text
@@ -192,22 +227,8 @@ def cmd_autos(args):
         _emit(args, {"derivation_norm": autos.stampfli_derivation_norm(a, tol=tol)})
         return 0
     if args.action == "normal-form":
-        spec = _read_json(args.operator)
-        gens = []
-        for item in spec["generators"]:
-            kind = item["kind"]
-            if kind == "diagonal":
-                gens.append(Diagonal(
-                    [complex(re, im) for re, im in item["head"]],
-                    [complex(re, im) for re, im in item["tail"]],
-                ))
-            elif kind == "exponent":
-                gens.append(operator_from_obj(item["operator"]))
-            elif kind == "permutation":
-                gens.append(autos.PermutationSpec(item["head_perm"], item["tail_perm"]))
-            else:
-                raise DpkError(f"unknown generator kind {kind!r}")
-        word = autos.normal_form(gens)
+        items = _field(_read_json(args.operator), "generators", list, "normal-form input")
+        word = autos.normal_form([_generator_from_obj(item, k) for k, item in enumerate(items)])
         payload = {
             "w": _diag_to_obj(word.w),
             "exponent": operator_to_obj(word.exponent, normalized=False),

@@ -310,22 +310,6 @@ def align_diagonals(a, b):
     return a.expand(m_new, p_new), b.expand(m_new, p_new)
 
 
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a @ b
-
-
-def adjoint(a):
-    return a.adjoint()
-
-
-def scale(lam, a):
-    return a * lam
-
-
 def operators_close(a, b, tol=EQ_TOL):
     x, y = align(a, b)
     dh = float(np.max(np.abs(x.head - y.head))) if x.m else 0.0
@@ -341,12 +325,6 @@ def delta(t):
 def is_dpk_member(s):
     """True exactly when the tail block is a diagonal matrix."""
     return bool(np.all(s.tail == np.diag(np.diagonal(s.tail))))
-
-
-def require_member(t, what="operator"):
-    if not is_dpk_member(t):
-        raise NotInDpk(f"{what} has a non-diagonal tail block")
-    return t
 
 
 def canonical_decompose(t):

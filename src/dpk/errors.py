@@ -81,10 +81,6 @@ class NotOrthogonalPatterns(DpkError):
     pass
 
 
-class SpectrumNotFinite(DpkError):
-    pass
-
-
 class NotDpkAutomorphism(DpkError):
     pass
 

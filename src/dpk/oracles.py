@@ -114,15 +114,3 @@ def grid_min_distance_to_scalars(t, step=1e-4, box=None):
                 vals.append(np.linalg.svd(t.head - lam * eye_h, compute_uv=False)[0])
             best = min(best, max(vals))
     return float(best)
-
-
-def principal_angles_between_ranges(p_head, q_head, tol=1e-8):
-    """Principal angles between the ranges of two projection matrices."""
-    wp, vp = np.linalg.eigh((p_head + p_head.conj().T) / 2)
-    wq, vq = np.linalg.eigh((q_head + q_head.conj().T) / 2)
-    bp = vp[:, wp > 0.5]
-    bq = vq[:, wq > 0.5]
-    if bp.shape[1] == 0 or bq.shape[1] == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(bp.conj().T @ bq, compute_uv=False)
-    return np.arccos(np.clip(s, 0.0, 1.0))

@@ -49,9 +49,13 @@ def operator_from_obj(obj):
     head = _matrix_from_obj(obj["head"], "head")
     tail = _matrix_from_obj(obj["tail"], "tail")
     t = EopOperator(head, tail)
-    if "m" in obj and int(obj["m"]) != t.m:
+    try:
+        m, p = int(obj.get("m", t.m)), int(obj.get("p", t.p))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IoError("declared m and p must be integers") from exc
+    if m != t.m:
         raise IoError(f"declared m={obj['m']} does not match head shape {t.m}")
-    if "p" in obj and int(obj["p"]) != t.p:
+    if p != t.p:
         raise IoError(f"declared p={obj['p']} does not match tail shape {t.p}")
     return t
 

@@ -16,7 +16,9 @@ import numpy as np
 
 from .core import Diagonal, EopOperator, common_grid, identity, is_dpk_member, operator_norm
 from .errors import (
+    AlignmentError,
     KindMismatch,
+    NonFiniteEntry,
     NotInBall,
     NotInDpk,
     NotOrthogonalPatterns,
@@ -42,25 +44,47 @@ def _chunks(n, k):
             for a in range(0, n, step)]
 
 
+def _as_stack(a, what):
+    """Own C-contiguous complex copy of an (n, k, k) stack, entries finite."""
+    arr = np.array(a, dtype=np.complex128, order="C")
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise AlignmentError(f"{what} must be an (n, k, k) stack, got shape {arr.shape}")
+    # Checked here because a NaN passes the tolerance comparisons below.
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise NonFiniteEntry(f"{what} contain non-finite entries")
+    return arr
+
+
 class UnitaryLoop:
     """Closed loop of model unitaries, stored as stacks on one common grid.
 
-    On creation the samples are copied once onto their common (lcm-period)
-    grid: ``heads`` is the read-only (n, m, m) stack of head blocks and
-    ``tails`` the (n, p, p) stack of tail blocks.  ``samples[k]`` is a
-    read-only operator whose blocks are views of ``heads[k]`` and
-    ``tails[k]``.
+    ``heads`` is the read-only (n, m, m) stack of head blocks and ``tails``
+    the read-only (n, p, p) stack of tail blocks, both C-contiguous.  There
+    are two constructors:
 
-    Every sample must be unitary within 1e-9 (NotUnitary), and consecutive
-    samples, wrapping around from the last to the first, must stay closer
-    than 0.5 in norm (StepTooLarge), so that every entrywise phase step is
-    well inside (-pi/3, pi/3) and the winding numbers below are unambiguous.
-    Unitarity is checked for all samples before any step.  Both checks run
-    on the stacks in chunks of at most ``CHUNK_CELLS`` cells per block, so
-    their temporaries stay bounded; exactly diagonal blocks take no SVD.
+    * ``UnitaryLoop(samples)`` takes model operators (already validated as
+      such) and copies them once onto their common (lcm-period) grid;
+    * ``UnitaryLoop.from_stacks(heads, tails)`` takes the stacks directly
+      and copies them.  It validates what an operator's constructor would:
+      square blocks, stacks of the same length, tail size p >= 1 dividing
+      head size m (AlignmentError), and finite entries (NonFiniteEntry).
+
+    ``samples[k]`` is a read-only operator whose blocks are views of
+    ``heads[k]`` and ``tails[k]``; the views are made on first access only.
+    ``adjoint()`` conjugate-transposes every block of the stacks.
+
+    Every loop, whichever way it is made, has at least two samples
+    (StepTooLarge otherwise), every sample must be unitary within 1e-9
+    (NotUnitary), and consecutive samples, wrapping around from the last to
+    the first, must stay closer than 0.5 in norm (StepTooLarge), so that
+    every entrywise phase step is well inside (-pi/3, pi/3) and the winding
+    numbers below are unambiguous.  Unitarity is checked for all samples
+    before any step.  Both checks run on the stacks in chunks of at most
+    ``CHUNK_CELLS`` cells per block, so their temporaries stay bounded;
+    exactly diagonal blocks take no SVD.
     """
 
-    __slots__ = ("heads", "tails", "samples", "max_step")
+    __slots__ = ("heads", "tails", "max_step", "_samples")
 
     def __init__(self, samples):
         samples = list(samples)
@@ -72,9 +96,37 @@ class UnitaryLoop:
         tails = np.zeros((n, p, p), dtype=np.complex128)
         for k, s in enumerate(samples):
             s._fill(heads[k], tails[k])
+        self._check_and_store(heads, tails)
+
+    @classmethod
+    def from_stacks(cls, heads, tails):
+        """Loop of the samples (heads[k], tails[k]); see the class docstring."""
+        heads = _as_stack(heads, "heads")
+        tails = _as_stack(tails, "tails")
+        if heads.shape[0] != tails.shape[0]:
+            raise AlignmentError(
+                f"{heads.shape[0]} head blocks but {tails.shape[0]} tail blocks")
+        if heads.shape[0] < 2:
+            raise StepTooLarge("a loop needs at least two samples")
+        m, p = heads.shape[1], tails.shape[1]
+        if p < 1:
+            raise AlignmentError("tail blocks must be at least 1 x 1")
+        if m % p:
+            raise AlignmentError(f"period {p} does not divide head size {m}")
+        return cls._from_own_stacks(heads, tails)
+
+    @classmethod
+    def _from_own_stacks(cls, heads, tails):
+        # For fresh, valid, C-contiguous complex stacks that nothing else holds.
+        self = object.__new__(cls)
+        self._check_and_store(heads, tails)
+        return self
+
+    def _check_and_store(self, heads, tails):
+        """Freeze the stacks, check unitarity and then the steps, and keep them."""
         heads.setflags(write=False)
         tails.setflags(write=False)
-        chunks = _chunks(n, max(m, p))
+        chunks = _chunks(heads.shape[0], max(heads.shape[1], tails.shape[1]))
         for here, _ in chunks:
             if np.max(unitarity_defects(heads[here], tails[here])) > LOOP_UNITARY_TOL:
                 raise NotUnitary("operand is not unitary within tolerance")
@@ -87,8 +139,14 @@ class UnitaryLoop:
             raise StepTooLarge(f"largest sample gap {worst:.3f} >= {MAX_LOOP_STEP}")
         self.heads = heads
         self.tails = tails
-        self.samples = tuple(EopOperator._new(h, t) for h, t in zip(heads, tails))
         self.max_step = worst
+        self._samples = None
+
+    @property
+    def samples(self):
+        if self._samples is None:
+            self._samples = tuple(EopOperator._new(h, t) for h, t in zip(self.heads, self.tails))
+        return self._samples
 
     @property
     def m(self):
@@ -99,11 +157,20 @@ class UnitaryLoop:
         return self.tails.shape[1]
 
     def __len__(self):
-        return len(self.samples)
+        return self.heads.shape[0]
+
+    def adjoint(self):
+        """The loop of the adjoint samples, in the same order."""
+        return UnitaryLoop._from_own_stacks(
+            np.conjugate(self.heads.transpose(0, 2, 1), order="C"),
+            np.conjugate(self.tails.transpose(0, 2, 1), order="C"))
 
     def concatenate(self, other):
         """Run this loop, then the other; windings add."""
-        return UnitaryLoop(list(self.samples) + list(other.samples))
+        if (self.m, self.p) != (other.m, other.p):
+            return UnitaryLoop(self.samples + other.samples)
+        return UnitaryLoop._from_own_stacks(np.concatenate([self.heads, other.heads]),
+                                            np.concatenate([self.tails, other.tails]))
 
 
 def _round_integer(x, what):
@@ -115,6 +182,9 @@ def _round_integer(x, what):
 
 def loop_winding(loop, kind):
     """Winding data of a closed loop, computed on its head and tail stacks.
+
+    Only ``heads`` and ``tails`` are read, so a loop made from stacks never
+    builds its sample views here.
 
     ``kind='diagonal'`` needs exactly diagonal samples and returns one
     integer per head entry and per tail residue (accumulated principal phase

@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from dpk.core import align, operator_norm
+from dpk.core import Diagonal, align, operator_norm
 from dpk.errors import KindMismatch, StepTooLarge
 from dpk.factor import require_unitary
+from dpk.topology import UnitaryLoop
 
 
 def dense_embed(op, n):
@@ -173,3 +174,25 @@ def reference_loop_winding(loop, kind):
         winding = _round_integer(np.array([total / (2.0 * np.pi)]), "det winding")
         return int(winding[0])
     raise KindMismatch(f"unknown loop kind {kind!r}")
+
+
+# Per-sample reference for the topology suite's loop generators, which now
+# fill the stacks directly: the sample-by-sample builders, kept verbatim.
+
+def reference_generator_loop(m, p, j, turns=1, samples=64):
+    ts = np.linspace(0.0, 1.0, samples, endpoint=False)
+    ops = []
+    for t in ts:
+        head = np.ones(m, dtype=complex)
+        head[j] = np.exp(2j * np.pi * turns * t)
+        ops.append(Diagonal(head, np.ones(p, dtype=complex)).to_operator())
+    return UnitaryLoop(ops)
+
+
+def reference_combo_loop(ks, samples=48):
+    ts = np.linspace(0.0, 1.0, samples, endpoint=False)
+    ops = []
+    for t in ts:
+        head = np.exp(2j * np.pi * np.asarray(ks) * t)
+        ops.append(Diagonal(head, np.ones(1, dtype=complex)).to_operator())
+    return UnitaryLoop(ops)

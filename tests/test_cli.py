@@ -130,6 +130,40 @@ def test_autos_normal_form(tmp_path):
     assert data["sigma"]["tail_perm"] == [2, 0, 1]
 
 
+def _expect_io_error(*args):
+    proc = subprocess.run([sys.executable, "-m", "dpk.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: IoError: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("spec", [
+    {},
+    {"generators": 3},
+    {"generators": [{"head": [[1.0, 0.0]], "tail": [[1.0, 0.0]]}]},
+    {"generators": [{"kind": 7}]},
+    {"generators": [{"kind": "diagonal", "tail": [[1.0, 0.0]]}]},
+    {"generators": [{"kind": "diagonal", "head": [[1.0]], "tail": [[1.0, 0.0]]}]},
+    {"generators": [{"kind": "exponent"}]},
+    {"generators": [{"kind": "permutation", "head_perm": [0], "tail_perm": "0"}]},
+    {"generators": [{"kind": "permutation", "head_perm": ["a"], "tail_perm": [0]}]},
+    {"generators": [{"kind": "twist"}]},
+], ids=["empty", "generators_not_list", "no_kind", "kind_not_str", "no_head",
+        "bad_entry", "no_operator", "tail_perm_not_list", "head_perm_not_int",
+        "unknown_kind"])
+def test_autos_normal_form_bad_input(tmp_path, spec):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(spec))
+    _expect_io_error("autos", "normal-form", str(path))
+
+
+def test_fredholm_non_integer_size(tmp_path):
+    path = tmp_path / "op.json"
+    path.write_text('{"m": "x", "p": 1, "head": [[[1, 0]]], "tail": [[[1, 0]]]}')
+    _expect_io_error("fredholm", str(path))
+
+
 def test_topo_winding(tmp_path):
     import numpy as np
 

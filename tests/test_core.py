@@ -240,6 +240,16 @@ def test_json_reader_validates():
         )
 
 
+@pytest.mark.parametrize("declared", ['"m": "x"', '"p": "x"', '"m": null', '"p": [1]',
+                                      '"m": 1e999'])
+def test_json_reader_rejects_non_integer_sizes(declared):
+    from dpk.errors import IoError
+
+    text = f'{{{declared}, "head": [[[1, 0]]], "tail": [[[1, 0]]]}}'
+    with pytest.raises(IoError):
+        load_operator(text)
+
+
 def test_values_are_immutable():
     t = identity(2, 1)
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from dpk.core import Diagonal, EopOperator, identity, operator_norm
+from dpk.core import Diagonal, EopOperator, common_grid, identity, operator_norm
 from dpk.errors import (
+    AlignmentError,
     DpkError,
     KindMismatch,
+    NonFiniteEntry,
     NotInBall,
     NotUnitary,
     NotOrthogonalPatterns,
@@ -18,6 +20,7 @@ from dpk.generate import (
     trial_rng,
 )
 from dpk.projections import ModelProjection, diagonal_projection
+from dpk.suites import _combo_loop, _generator_loop
 from dpk.topology import (
     K0Class,
     UnitaryLoop,
@@ -27,7 +30,12 @@ from dpk.topology import (
     loop_winding,
 )
 
-from _oracles import ReferenceUnitaryLoop, reference_loop_winding
+from _oracles import (
+    ReferenceUnitaryLoop,
+    reference_combo_loop,
+    reference_generator_loop,
+    reference_loop_winding,
+)
 
 
 def _phase_loop(m, p, j, turns=1, samples=64):
@@ -293,3 +301,166 @@ def test_loop_samples_are_read_only_views():
             view.head[0, 0] = 0.0
         with pytest.raises(ValueError):
             view.tail[0, 0] = 0.0
+
+
+# Loops built from stacks.
+
+def _stacks(samples):
+    """Head and tail stacks of the samples on their common grid."""
+    m, p = common_grid(samples)
+    expanded = [s.expand(m, p) for s in samples]
+    return np.stack([e.head for e in expanded]), np.stack([e.tail for e in expanded])
+
+
+def _assert_same_loop(got, want):
+    np.testing.assert_array_equal(got.heads, want.heads)
+    np.testing.assert_array_equal(got.tails, want.tails)
+    assert got.max_step == want.max_step
+
+
+def _assert_same_windings(got, want):
+    for kind in ("diagonal", "compact"):
+        a, b = _outcome(loop_winding, got, kind), _outcome(loop_winding, want, kind)
+        if isinstance(b, tuple):
+            for x, y in zip(a, b, strict=True):
+                np.testing.assert_array_equal(x, y)
+        else:
+            assert a == b
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_from_stacks_matches_samples(case):
+    samples = LOOP_CASES[case]()
+    from_samples = _outcome(UnitaryLoop, samples)
+    from_stacks = _outcome(UnitaryLoop.from_stacks, *_stacks(samples))
+    if isinstance(from_samples, type):
+        assert from_stacks is from_samples
+        return
+    _assert_same_loop(from_stacks, from_samples)
+    _assert_same_loop(UnitaryLoop.from_stacks(from_samples.heads, from_samples.tails),
+                      from_samples)
+    _assert_same_windings(from_stacks, from_samples)
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_adjoint_matches_reference(case):
+    samples = LOOP_CASES[case]()
+    loop = _outcome(UnitaryLoop, samples)
+    if isinstance(loop, type):
+        return
+    got = _outcome(UnitaryLoop.adjoint, loop)
+    want = _outcome(ReferenceUnitaryLoop, [s.adjoint() for s in ReferenceUnitaryLoop(samples).samples])
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got.max_step == want.max_step
+    for g, w in zip(got.samples, want.samples, strict=True):
+        np.testing.assert_array_equal(g.head, w.head)
+        np.testing.assert_array_equal(g.tail, w.tail)
+    for kind in ("diagonal", "compact"):
+        a, b = _outcome(loop_winding, got, kind), _outcome(reference_loop_winding, want, kind)
+        if isinstance(b, tuple):
+            for x, y in zip(a, b, strict=True):
+                np.testing.assert_array_equal(x, y)
+        else:
+            assert a == b
+
+
+def _phase_stacks(n=16, m=4, p=2):
+    heads, tails = _stacks(_phase_loop(m, p, j=0, samples=n).samples)
+    return heads.copy(), tails.copy()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", ["heads", "tails"])
+def test_from_stacks_rejects_non_finite(bad, where):
+    heads, tails = _phase_stacks()
+    (heads if where == "heads" else tails)[3, 1, 1] = bad
+    with pytest.raises(NonFiniteEntry):
+        UnitaryLoop.from_stacks(heads, tails)
+
+
+def test_from_stacks_rejects_bad_shapes():
+    heads, tails = _phase_stacks()
+    with pytest.raises(AlignmentError):
+        UnitaryLoop.from_stacks(heads[:, :, :3], tails)  # non-square heads
+    with pytest.raises(AlignmentError):
+        UnitaryLoop.from_stacks(heads, tails[:, :1, :])  # non-square tails
+    with pytest.raises(AlignmentError):
+        UnitaryLoop.from_stacks(heads[0], tails[0])  # not a stack
+    with pytest.raises(AlignmentError):
+        UnitaryLoop.from_stacks(heads, tails[:-1])  # lengths differ
+    with pytest.raises(AlignmentError):
+        UnitaryLoop.from_stacks(heads[:, :3, :3], tails)  # p does not divide m
+    with pytest.raises(AlignmentError):
+        UnitaryLoop.from_stacks(heads, np.zeros((16, 0, 0)))  # empty tail blocks
+    for n in (0, 1):
+        with pytest.raises(StepTooLarge):
+            UnitaryLoop.from_stacks(heads[:n], tails[:n])
+
+
+def test_from_stacks_unitarity_before_steps():
+    heads, tails = _phase_stacks()
+    heads[8] = -heads[8]  # steps of norm 2 into and out of sample 8
+    with pytest.raises(StepTooLarge):
+        UnitaryLoop.from_stacks(heads, tails)
+    heads[12] *= 1.001
+    with pytest.raises(NotUnitary):
+        UnitaryLoop.from_stacks(heads, tails)
+
+
+def test_from_stacks_owns_read_only_views():
+    samples = _mixed_period_samples()
+    heads, tails = _stacks(samples)
+    loop = UnitaryLoop.from_stacks(heads, tails)
+    heads[:] = 0.0  # the loop keeps its own copy
+    assert loop.heads.flags.c_contiguous and loop.heads.dtype == np.complex128
+    assert loop.tails.flags.c_contiguous and loop.tails.dtype == np.complex128
+    assert len(loop.samples) == len(loop) == len(samples)
+    assert loop.samples is loop.samples
+    for s, view in zip(samples, loop.samples, strict=True):
+        expanded = s.expand(loop.m, loop.p)
+        np.testing.assert_array_equal(view.head, expanded.head)
+        np.testing.assert_array_equal(view.tail, expanded.tail)
+        assert np.shares_memory(view.head, loop.heads)
+        with pytest.raises(ValueError):
+            view.head[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            view.tail[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        loop.heads[0, 0, 0] = 0.0
+
+
+def test_concatenate_across_grids():
+    l1 = _phase_loop(4, 2, j=0)
+    l2 = _phase_loop(6, 3, j=1)
+    both = l1.concatenate(l2)
+    want = ReferenceUnitaryLoop(list(l1.samples) + list(l2.samples))
+    assert (both.m, both.p) == (6, 6)
+    for g, w in zip(both.samples, want.samples, strict=True):
+        np.testing.assert_array_equal(g.head, w.head)
+        np.testing.assert_array_equal(g.tail, w.tail)
+    assert both.max_step == want.max_step
+    head_w, _ = loop_winding(both, "diagonal")
+    np.testing.assert_array_equal(head_w, [1, 1, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("m,p,j,turns,samples", [
+    (24, 3, 0, 1, 64), (24, 3, 4, 1, 64), (6, 2, 5, 2, 128), (4, 4, 1, -1, 64),
+    (5, 1, 2, 3, 192), (1, 1, 0, 1, 16),
+])
+def test_generator_loop_matches_per_sample_builder(m, p, j, turns, samples):
+    got = _generator_loop(m, p, j, turns, samples)
+    want = reference_generator_loop(m, p, j, turns, samples)
+    _assert_same_loop(got, want)
+    _assert_same_loop(got.adjoint(), UnitaryLoop([s.adjoint() for s in want.samples]))
+
+
+@pytest.mark.parametrize("ks", [(0, 0, 0), (1, -2, 3), (-3, -3, -3), (3, 0, -1), (2,),
+                                (-1, 1, -2, 2)])
+def test_combo_loop_matches_per_sample_builder(ks):
+    got = _combo_loop(ks)
+    want = reference_combo_loop(ks)
+    _assert_same_loop(got, want)
+    _assert_same_loop(got.adjoint(), UnitaryLoop([s.adjoint() for s in want.samples]))
+    _assert_same_windings(got, want)
