@@ -286,10 +286,7 @@ def cmd_topo(args):
         _emit(args, payload)
         return 0
     if args.action == "winding":
-        spec = _read_json(args.operator)
-        samples = spec.get("samples") if isinstance(spec, dict) else None
-        if not isinstance(samples, list):
-            raise IoError("winding input must be an object with a 'samples' list")
+        samples = _field(_read_json(args.operator), "samples", list, "winding input")
         loop = topology.UnitaryLoop([operator_from_obj(o) for o in samples])
         if args.kind == "diagonal":
             head_w, tail_w = topology.loop_winding(loop, "diagonal")

@@ -827,7 +827,8 @@ def _suite_automorphism(config):
 
 
 def _generator_loop(m, p, j, turns=1, samples=64):
-    # Phases are formed as 2j*pi*turns*t, bit for bit the per-sample formula.
+    # The order 2j*pi*turns*t keeps the phases bit-equal to building each
+    # sample's Diagonal (tests/_oracles.reference_generator_loop).
     ts = np.linspace(0.0, 1.0, samples, endpoint=False)
     heads = np.tile(np.eye(m, dtype=complex), (samples, 1, 1))
     heads[:, j, j] = np.exp(2j * np.pi * turns * ts)
@@ -836,7 +837,8 @@ def _generator_loop(m, p, j, turns=1, samples=64):
 
 
 def _combo_loop(ks, samples=48):
-    # Phases are formed as 2j*pi*ks*t, bit for bit the per-sample formula.
+    # The order 2j*pi*ks*t keeps the phases bit-equal to building each
+    # sample's Diagonal (tests/_oracles.reference_combo_loop).
     ts = np.linspace(0.0, 1.0, samples, endpoint=False)
     phases = np.exp(2j * np.pi * np.asarray(ks) * ts[:, None])
     diag = np.arange(len(ks))

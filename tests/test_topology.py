@@ -252,6 +252,25 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _assert_same_windings(got, want, want_winding=loop_winding):
+    for kind in ("diagonal", "compact", "nonsense"):
+        a, b = _outcome(loop_winding, got, kind), _outcome(want_winding, want, kind)
+        if isinstance(b, tuple):
+            for x, y in zip(a, b, strict=True):
+                np.testing.assert_array_equal(x, y)
+        else:
+            assert a == b
+
+
+def _assert_matches_reference(batched, ref):
+    assert batched.max_step == ref.max_step
+    assert (batched.m, batched.p) == (ref.m, ref.p)
+    for got, want in zip(batched.samples, ref.samples, strict=True):
+        np.testing.assert_array_equal(got.head, want.head)
+        np.testing.assert_array_equal(got.tail, want.tail)
+    _assert_same_windings(batched, ref, reference_loop_winding)
+
+
 @pytest.mark.parametrize("case", sorted(LOOP_CASES))
 def test_batched_loop_matches_reference(case):
     samples = LOOP_CASES[case]()
@@ -260,19 +279,7 @@ def test_batched_loop_matches_reference(case):
     if isinstance(ref, type):
         assert batched is ref
         return
-    assert batched.max_step == ref.max_step
-    assert (batched.m, batched.p) == (ref.m, ref.p)
-    for got, want in zip(batched.samples, ref.samples, strict=True):
-        np.testing.assert_array_equal(got.head, want.head)
-        np.testing.assert_array_equal(got.tail, want.tail)
-    for kind in ("diagonal", "compact", "nonsense"):
-        got = _outcome(loop_winding, batched, kind)
-        want = _outcome(reference_loop_winding, ref, kind)
-        if isinstance(want, tuple):
-            for g, w in zip(got, want, strict=True):
-                np.testing.assert_array_equal(g, w)
-        else:
-            assert got == want
+    _assert_matches_reference(batched, ref)
 
 
 def test_loop_cases_cover_each_outcome():
@@ -292,6 +299,10 @@ def test_loop_samples_are_read_only_views():
     samples = _mixed_period_samples()
     loop = UnitaryLoop(samples)
     assert (loop.heads.shape, loop.tails.shape) == ((96, 12, 12), (96, 12, 12))
+    _assert_read_only_views(loop, samples)
+
+
+def _assert_read_only_views(loop, samples):
     for s, view in zip(samples, loop.samples, strict=True):
         expanded = s.expand(loop.m, loop.p)
         np.testing.assert_array_equal(view.head, expanded.head)
@@ -318,16 +329,6 @@ def _assert_same_loop(got, want):
     assert got.max_step == want.max_step
 
 
-def _assert_same_windings(got, want):
-    for kind in ("diagonal", "compact"):
-        a, b = _outcome(loop_winding, got, kind), _outcome(loop_winding, want, kind)
-        if isinstance(b, tuple):
-            for x, y in zip(a, b, strict=True):
-                np.testing.assert_array_equal(x, y)
-        else:
-            assert a == b
-
-
 @pytest.mark.parametrize("case", sorted(LOOP_CASES))
 def test_from_stacks_matches_samples(case):
     samples = LOOP_CASES[case]()
@@ -349,21 +350,12 @@ def test_adjoint_matches_reference(case):
     if isinstance(loop, type):
         return
     got = _outcome(UnitaryLoop.adjoint, loop)
-    want = _outcome(ReferenceUnitaryLoop, [s.adjoint() for s in ReferenceUnitaryLoop(samples).samples])
+    want = _outcome(ReferenceUnitaryLoop,
+                    [s.adjoint() for s in ReferenceUnitaryLoop(samples).samples])
     if isinstance(want, type):
         assert got is want
         return
-    assert got.max_step == want.max_step
-    for g, w in zip(got.samples, want.samples, strict=True):
-        np.testing.assert_array_equal(g.head, w.head)
-        np.testing.assert_array_equal(g.tail, w.tail)
-    for kind in ("diagonal", "compact"):
-        a, b = _outcome(loop_winding, got, kind), _outcome(reference_loop_winding, want, kind)
-        if isinstance(b, tuple):
-            for x, y in zip(a, b, strict=True):
-                np.testing.assert_array_equal(x, y)
-        else:
-            assert a == b
+    _assert_matches_reference(got, want)
 
 
 def _phase_stacks(n=16, m=4, p=2):
@@ -416,33 +408,20 @@ def test_from_stacks_owns_read_only_views():
     heads[:] = 0.0  # the loop keeps its own copy
     assert loop.heads.flags.c_contiguous and loop.heads.dtype == np.complex128
     assert loop.tails.flags.c_contiguous and loop.tails.dtype == np.complex128
-    assert len(loop.samples) == len(loop) == len(samples)
     assert loop.samples is loop.samples
-    for s, view in zip(samples, loop.samples, strict=True):
-        expanded = s.expand(loop.m, loop.p)
-        np.testing.assert_array_equal(view.head, expanded.head)
-        np.testing.assert_array_equal(view.tail, expanded.tail)
-        assert np.shares_memory(view.head, loop.heads)
-        with pytest.raises(ValueError):
-            view.head[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            view.tail[0, 0] = 0.0
+    assert len(loop.samples) == len(loop) == len(samples)
+    _assert_read_only_views(loop, samples)
     with pytest.raises(ValueError):
         loop.heads[0, 0, 0] = 0.0
 
 
-def test_concatenate_across_grids():
-    l1 = _phase_loop(4, 2, j=0)
-    l2 = _phase_loop(6, 3, j=1)
-    both = l1.concatenate(l2)
-    want = ReferenceUnitaryLoop(list(l1.samples) + list(l2.samples))
-    assert (both.m, both.p) == (6, 6)
-    for g, w in zip(both.samples, want.samples, strict=True):
-        np.testing.assert_array_equal(g.head, w.head)
-        np.testing.assert_array_equal(g.tail, w.tail)
-    assert both.max_step == want.max_step
-    head_w, _ = loop_winding(both, "diagonal")
-    np.testing.assert_array_equal(head_w, [1, 1, 0, 0, 0, 0])
+@pytest.mark.parametrize("grids", [((4, 2), (4, 2)), ((4, 2), (6, 3))],
+                         ids=["same_grid", "across_grids"])
+def test_concatenate_matches_reference(grids):
+    l1 = _phase_loop(*grids[0], j=0)
+    l2 = _phase_loop(*grids[1], j=1)
+    _assert_matches_reference(l1.concatenate(l2),
+                              ReferenceUnitaryLoop(list(l1.samples) + list(l2.samples)))
 
 
 @pytest.mark.parametrize("m,p,j,turns,samples", [
