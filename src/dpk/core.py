@@ -22,13 +22,24 @@ from .linalg import block_norm, dedup_complex, svmax
 EQ_TOL = 1e-12
 
 
-def _as_square(a, what):
+def _as_square(a, what, ndim=2):
+    """Complex copy of a square matrix (ndim 2) or of a stack of square
+    matrices (ndim 3), entries finite."""
     arr = np.array(a, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise AlignmentError(f"{what} must be a square matrix, got shape {arr.shape}")
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2]:
+        shape = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise AlignmentError(f"{what} must be {shape}, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise NonFiniteEntry(f"{what} contains non-finite entries")
     return arr
+
+
+def _check_grid(m, p):
+    """Head size m and tail size p of an operator: p >= 1 and p | m."""
+    if p < 1:
+        raise AlignmentError("tail block must be at least 1 x 1")
+    if m % p != 0:
+        raise AlignmentError(f"period {p} does not divide head size {m}")
 
 
 def _as_vector(a, what):
@@ -57,12 +68,7 @@ class EopOperator:
     def __init__(self, head, tail):
         head = _as_square(head, "head")
         tail = _as_square(tail, "tail")
-        if tail.shape[0] < 1:
-            raise AlignmentError("tail block must be at least 1 x 1")
-        if head.shape[0] % tail.shape[0] != 0:
-            raise AlignmentError(
-                f"period {tail.shape[0]} does not divide head size {head.shape[0]}"
-            )
+        _check_grid(head.shape[0], tail.shape[0])
         self.head = _freeze(head)
         self.tail = _freeze(tail)
 

@@ -14,11 +14,19 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import Diagonal, EopOperator, common_grid, identity, is_dpk_member, operator_norm
+from .core import (
+    Diagonal,
+    EopOperator,
+    _as_square,
+    _check_grid,
+    common_grid,
+    identity,
+    is_dpk_member,
+    operator_norm,
+)
 from .errors import (
     AlignmentError,
     KindMismatch,
-    NonFiniteEntry,
     NotInBall,
     NotInDpk,
     NotOrthogonalPatterns,
@@ -42,17 +50,6 @@ def _chunks(n, k):
     step = max(1, CHUNK_CELLS // max(k * k, 1))
     return [(slice(a, min(a + step, n)), np.arange(a + 1, min(a + step, n) + 1) % n)
             for a in range(0, n, step)]
-
-
-def _as_stack(a, what):
-    """Own C-contiguous complex copy of an (n, k, k) stack, entries finite."""
-    arr = np.array(a, dtype=np.complex128, order="C")
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise AlignmentError(f"{what} must be an (n, k, k) stack, got shape {arr.shape}")
-    # Checked here because a NaN passes the tolerance comparisons below.
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise NonFiniteEntry(f"{what} contain non-finite entries")
-    return arr
 
 
 class UnitaryLoop:
@@ -101,18 +98,16 @@ class UnitaryLoop:
     @classmethod
     def from_stacks(cls, heads, tails):
         """Loop of the samples (heads[k], tails[k]); see the class docstring."""
-        heads = _as_stack(heads, "heads")
-        tails = _as_stack(tails, "tails")
+        # Own C-contiguous copies.  _as_square also checks finiteness, which
+        # the loop checks cannot: a NaN passes their tolerance comparisons.
+        heads = np.ascontiguousarray(_as_square(heads, "heads", ndim=3))
+        tails = np.ascontiguousarray(_as_square(tails, "tails", ndim=3))
         if heads.shape[0] != tails.shape[0]:
             raise AlignmentError(
                 f"{heads.shape[0]} head blocks but {tails.shape[0]} tail blocks")
         if heads.shape[0] < 2:
             raise StepTooLarge("a loop needs at least two samples")
-        m, p = heads.shape[1], tails.shape[1]
-        if p < 1:
-            raise AlignmentError("tail blocks must be at least 1 x 1")
-        if m % p:
-            raise AlignmentError(f"period {p} does not divide head size {m}")
+        _check_grid(heads.shape[1], tails.shape[1])
         return cls._from_own_stacks(heads, tails)
 
     @classmethod
@@ -167,10 +162,7 @@ class UnitaryLoop:
 
     def concatenate(self, other):
         """Run this loop, then the other; windings add."""
-        if (self.m, self.p) != (other.m, other.p):
-            return UnitaryLoop(self.samples + other.samples)
-        return UnitaryLoop._from_own_stacks(np.concatenate([self.heads, other.heads]),
-                                            np.concatenate([self.tails, other.tails]))
+        return UnitaryLoop(self.samples + other.samples)
 
 
 def _round_integer(x, what):

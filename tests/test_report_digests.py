@@ -3,13 +3,14 @@
 ``data/report_digests.json`` holds, for each of the 17 suites, the sha256 of
 its ``--no-meta`` JSON report at seed 20260808, head 24, period 3 and 20
 trials, with each case's ``ok`` and ``notes`` and the ``passes`` and
-``failures`` totals, and the (Python, numpy, BLAS) fingerprint of the
-machine that wrote it.
+``failures`` totals, and the fingerprint of the machine that wrote it:
+Python, numpy and scipy versions and the BLAS each of the two is built on.
 
 * Verdicts must always match: they should not depend on the BLAS build.
 * Report bytes must match when the running fingerprint equals the recorded
   one; residuals are stored at full float precision, so any change in the
-  arithmetic shows here.
+  arithmetic shows here.  On another fingerprint the byte test is reported
+  as skipped, not passed.
 * The suites the benchmark times (``perfbench/worker.py``) are run twice in
   one process at its trial counts, and the second report must equal the
   first byte for byte, so state left behind by one call cannot change the
@@ -25,6 +26,7 @@ and says in CHANGES.md which suites changed.
 
 import functools
 import hashlib
+import importlib.util
 import json
 import pathlib
 import platform
@@ -32,30 +34,40 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from dpk import ExperimentConfig, run_suite
 from dpk.suites import SUITES
 
 DATA = pathlib.Path(__file__).with_name("data") / "report_digests.json"
 SEED, HEAD, PERIOD, TRIALS = 20260808, 24, 3, 20
-# Trials per call of each suite the benchmark times (worker.CHUNK_TRIALS).
-BENCH_TRIALS = {
-    "separation": 6,
-    "automorphism": 12,
-    "index": 12,
-    "index-additivity": 10,
-    "geodesic": 10,
-    "topology": 10,
-}
+
+
+def _bench_trials():
+    """Trials per call of each suite the benchmark times (CHUNK_TRIALS of
+    perfbench/worker.py, which has no import-time side effects)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return dict(worker.CHUNK_TRIALS)
+
+
+BENCH_TRIALS = _bench_trials()
+
+
+def _blas(module):
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return " ".join(str(blas.get(k, "")) for k in ("name", "version", "openblas configuration"))
 
 
 def fingerprint():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": " ".join(str(blas.get(k, "")) for k in ("name", "version",
-                                                         "openblas configuration")),
+        "numpy_blas": _blas(np),
+        "scipy": scipy.__version__,
+        "scipy_blas": _blas(scipy),
     }
 
 
@@ -95,8 +107,13 @@ def test_report_matches_golden(suite):
     got = golden_entry(suite)
     assert (got["passes"], got["failures"]) == (want["passes"], want["failures"])
     assert got["verdicts"] == want["verdicts"]
-    if recorded()["fingerprint"] == fingerprint():
-        assert got["sha256"] == want["sha256"]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_report_bytes_match_golden(suite):
+    if recorded()["fingerprint"] != fingerprint():
+        pytest.skip(f"recorded on {recorded()['fingerprint']}, running on {fingerprint()}")
+    assert golden_entry(suite)["sha256"] == recorded()["suites"][suite]["sha256"]
 
 
 def test_benchmark_suites_rerun_identically():

@@ -37,14 +37,8 @@ from _oracles import (
     reference_loop_winding,
 )
 
-
-def _phase_loop(m, p, j, turns=1, samples=64):
-    ops = []
-    for t in np.linspace(0.0, 1.0, samples, endpoint=False):
-        head = np.ones(m, dtype=complex)
-        head[j] = np.exp(2j * np.pi * turns * t)
-        ops.append(Diagonal(head, np.ones(p, dtype=complex)).to_operator())
-    return UnitaryLoop(ops)
+# The per-sample builder of a loop winding `turns` times around head entry j.
+_phase_loop = reference_generator_loop
 
 
 def test_section_identity_and_diagonal():
@@ -413,6 +407,15 @@ def test_from_stacks_owns_read_only_views():
     _assert_read_only_views(loop, samples)
     with pytest.raises(ValueError):
         loop.heads[0, 0, 0] = 0.0
+
+
+def test_from_stacks_stores_strided_input_in_c_order():
+    heads, tails = _phase_stacks()
+    # Diagonal samples, so the transposed blocks are the same loop, laid out
+    # column-major.
+    loop = UnitaryLoop.from_stacks(heads.transpose(0, 2, 1), tails.transpose(0, 2, 1))
+    assert loop.heads.flags.c_contiguous and loop.tails.flags.c_contiguous
+    _assert_same_loop(loop, UnitaryLoop.from_stacks(heads, tails))
 
 
 @pytest.mark.parametrize("grids", [((4, 2), (4, 2)), ((4, 2), (6, 3))],
