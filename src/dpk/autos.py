@@ -10,13 +10,18 @@ The permutation convention is U_sigma e_n = e_{sigma(n)}, under which
 conjugation carries the diagonal entry at position n to position sigma(n).
 """
 
-import math
-
 import numpy as np
 
-from .core import Diagonal, EopOperator, align, delta, operator_norm
+from .core import (
+    Diagonal,
+    EopOperator,
+    _check_expand,
+    _check_grid,
+    align,
+    delta,
+    operator_norm,
+)
 from .errors import (
-    AlignmentError,
     ModelViolation,
     NotDpkAutomorphism,
     NotUnitary,
@@ -45,8 +50,7 @@ class PermutationSpec:
     def __init__(self, head_perm, tail_perm):
         self.head_perm = _as_perm(head_perm, "head permutation")
         self.tail_perm = _as_perm(tail_perm, "tail residue permutation")
-        if self.head_perm.size % self.tail_perm.size:
-            raise AlignmentError("permutation grid mismatch: p does not divide m")
+        _check_grid(self.head_perm.size, self.tail_perm.size)
         self.head_perm.setflags(write=False)
         self.tail_perm.setflags(write=False)
 
@@ -65,42 +69,24 @@ class PermutationSpec:
     def identity_spec(m, p):
         return PermutationSpec(np.arange(m), np.arange(p))
 
-    def is_tail_trivial(self):
-        return bool(np.all(self.tail_perm == np.arange(self.p)))
-
     def expand(self, m_new, p_new):
         if (m_new, p_new) == (self.m, self.p):
             return self
-        if p_new % self.p or m_new % p_new or m_new < self.m:
-            raise AlignmentError(
-                f"cannot expand permutation ({self.m},{self.p}) to ({m_new},{p_new})"
-            )
+        _check_expand(self, m_new, p_new)
         # Beyond the original head the infinite permutation acts per block by
         # the residue permutation; re-heading keeps that action literal.
-        head = np.empty(m_new, dtype=int)
-        head[: self.m] = self.head_perm
-        for j in range((m_new - self.m) // self.p):
-            s = self.m + j * self.p
-            head[s : s + self.p] = s + self.tail_perm
-        tail = np.empty(p_new, dtype=int)
-        for j in range(p_new // self.p):
-            s = j * self.p
-            tail[s : s + self.p] = s + self.tail_perm
-        return PermutationSpec(head, tail)
+        blocks = np.arange(self.m, m_new, self.p)[:, None] + self.tail_perm
+        head = np.concatenate([self.head_perm, blocks.ravel()])
+        tail = np.arange(0, p_new, self.p)[:, None] + self.tail_perm
+        return PermutationSpec(head, tail.ravel())
 
     def compose(self, other):
         """self after other: (self*other)(n) = self(other(n))."""
-        a, b = align_perms(self, other)
+        a, b = align(self, other)
         return PermutationSpec(a.head_perm[b.head_perm], a.tail_perm[b.tail_perm])
 
     def inverse(self):
         return PermutationSpec(np.argsort(self.head_perm), np.argsort(self.tail_perm))
-
-
-def align_perms(a, b):
-    p_new = math.lcm(a.p, b.p)
-    m_new = -(-max(a.m, b.m) // p_new) * p_new
-    return a.expand(m_new, p_new), b.expand(m_new, p_new)
 
 
 def permutation_unitary(spec):
@@ -114,26 +100,20 @@ def permutation_unitary(spec):
 
 def permute_diagonal(spec, d):
     """Conjugation action on diagonals: entry n moves to position sigma(n)."""
-    p_new = math.lcm(spec.p, d.p)
-    m_new = -(-max(spec.m, d.m) // p_new) * p_new
-    s = spec.expand(m_new, p_new)
-    dd = d.expand(m_new, p_new)
-    head = np.empty(m_new, dtype=np.complex128)
+    s, dd = align(spec, d)
+    head = np.empty(s.m, dtype=np.complex128)
     head[s.head_perm] = dd.head_entries
-    tail = np.empty(p_new, dtype=np.complex128)
+    tail = np.empty(s.p, dtype=np.complex128)
     tail[s.tail_perm] = dd.tail_pattern
     return Diagonal(head, tail)
 
 
 def conjugate_exponent_by_perm(spec, x):
     """U_sigma X U_sigma* for a zero-tail Hermitian X."""
-    p_new = math.lcm(spec.p, x.p)
-    m_new = -(-max(spec.m, x.m) // p_new) * p_new
-    s = spec.expand(m_new, p_new)
-    xx = x.expand(m_new, p_new)
-    head = np.zeros((m_new, m_new), dtype=np.complex128)
+    s, xx = align(spec, x)
+    head = np.zeros((s.m, s.m), dtype=np.complex128)
     head[np.ix_(s.head_perm, s.head_perm)] = xx.head
-    return EopOperator(head, np.zeros((p_new, p_new), dtype=np.complex128))
+    return EopOperator(head, np.zeros((s.p, s.p), dtype=np.complex128))
 
 
 def _unit_phases(values):
@@ -224,11 +204,7 @@ def normal_form(generators):
             sigma = sigma.compose(gen)
         else:
             raise TypeError(f"unsupported generator type {type(gen)!r}")
-    p_new = math.lcm(w.p, x.p, sigma.p)
-    m_new = -(-max(w.m, x.m, sigma.m) // p_new) * p_new
-    return AutomorphismWord(
-        w.expand(m_new, p_new), x.expand(m_new, p_new), sigma.expand(m_new, p_new)
-    )
+    return AutomorphismWord(*align(w, x, sigma))
 
 
 def is_dpk_automorphism(u):

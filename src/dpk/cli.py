@@ -88,7 +88,7 @@ def _generator_from_obj(item, k):
 
 
 def _emit(args, payload, csv_text=None):
-    if getattr(args, "format", "json") == "csv" and csv_text is not None:
+    if csv_text is not None and args.format == "csv":
         text = csv_text
     else:
         text = canonical_dumps(payload) + "\n"
@@ -102,28 +102,28 @@ def _emit(args, payload, csv_text=None):
         sys.stdout.write(text)
 
 
-def _config_from_args(args, suite=None):
-    return ExperimentConfig(
-        seed=args.seed,
-        trials=args.trials,
-        head_size=args.head,
-        period=args.period,
-        tol=args.tol,
-        suite=suite,
-    )
+def _config_from_args(args, **extra):
+    return ExperimentConfig(seed=args.seed, head_size=args.head, period=args.period, **extra)
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=300)
-    parser.add_argument("--head", type=int, default=24)
-    parser.add_argument("--period", type=int, default=3)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--out", default=None, help="write output here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--trace", action="store_true")
-    parser.add_argument("--no-meta", action="store_true", dest="no_meta",
-                        help="omit wall-time metadata so reruns are byte-identical")
+# Shared flags; each subcommand takes --out plus the ones it reads.
+FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=300),
+    "--head": dict(type=int, default=24),
+    "--period": dict(type=int, default=3),
+    "--tol": dict(type=float, default=None),
+    "--out": dict(default=None, help="write output here instead of stdout"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--trace": dict(action="store_true"),
+    "--no-meta": dict(action="store_true", dest="no_meta",
+                      help="omit wall-time metadata so reruns are byte-identical"),
+}
+
+
+def _add_flags(parser, *flags):
+    for flag in ("--out",) + flags:
+        parser.add_argument(flag, **FLAGS[flag])
 
 
 def cmd_gen(args):
@@ -145,7 +145,7 @@ def cmd_gen(args):
 
 
 def cmd_verify(args):
-    config = _config_from_args(args, suite=args.suite)
+    config = _config_from_args(args, trials=args.trials, suite=args.suite)
     report = run_suite(config)
     _emit(
         args,
@@ -239,12 +239,6 @@ def cmd_autos(args):
         }
         _emit(args, payload)
         return 0
-    if args.action == "separation":
-        config = _config_from_args(args, suite="separation")
-        report = run_suite(config)
-        _emit(args, report.to_obj(no_meta=args.no_meta),
-              csv_text=report.to_csv(no_meta=args.no_meta))
-        return 0 if report.failures == 0 else 1
     raise DpkError(f"unknown autos action {args.action!r}")
 
 
@@ -312,59 +306,58 @@ def build_parser():
     p_gen = sub.add_parser("gen", help="generate a seeded instance")
     p_gen.add_argument("kind", choices=KINDS)
     p_gen.add_argument("--trial", type=int, default=0)
-    _add_common(p_gen)
+    _add_flags(p_gen, "--seed", "--head", "--period")
     p_gen.set_defaults(func=cmd_gen)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    _add_common(p_verify)
+    _add_flags(p_verify, "--seed", "--head", "--period", "--trials", "--format", "--no-meta")
     p_verify.set_defaults(func=cmd_verify)
 
     p_fred = sub.add_parser("fredholm", help="Fredholm data of an operator")
     p_fred.add_argument("operator", help="operator JSON file, or - for stdin")
-    _add_common(p_fred)
+    _add_flags(p_fred)
     p_fred.set_defaults(func=cmd_fredholm)
 
     p_fu = sub.add_parser("factor-unitary", help="diagonal times exponential factorization")
     p_fu.add_argument("operator")
-    _add_common(p_fu)
+    _add_flags(p_fu)
     p_fu.set_defaults(func=cmd_factor_unitary)
 
     p_pr = sub.add_parser("porta-recht", help="positive factorization D^1/2 e^Z D^1/2")
     p_pr.add_argument("operator")
-    _add_common(p_pr)
+    _add_flags(p_pr, "--tol", "--trace")
     p_pr.set_defaults(func=cmd_porta_recht)
 
     p_q = sub.add_parser("quotient", help="quotient class of a member")
     p_q.add_argument("operator")
-    _add_common(p_q)
+    _add_flags(p_q)
     p_q.set_defaults(func=cmd_quotient)
 
     p_c = sub.add_parser("character", help="residue character evaluation")
     p_c.add_argument("operator")
     p_c.add_argument("--residue", type=int, required=True)
-    _add_common(p_c)
+    _add_flags(p_c)
     p_c.set_defaults(func=cmd_character)
 
     p_a = sub.add_parser("autos", help="automorphism machinery")
-    p_a.add_argument("action", choices=("stampfli", "normal-form", "separation"))
-    p_a.add_argument("operator", nargs="?", default=None,
-                     help="operator or generator-list JSON (not used by separation)")
-    _add_common(p_a)
+    p_a.add_argument("action", choices=("stampfli", "normal-form"))
+    p_a.add_argument("operator", help="operator or generator-list JSON")
+    _add_flags(p_a, "--tol")
     p_a.set_defaults(func=cmd_autos)
 
     p_p = sub.add_parser("proj", help="projection geometry")
     p_p.add_argument("action", choices=("index", "classify", "geodesic"))
     p_p.add_argument("operator")
     p_p.add_argument("second", nargs="?", default=None)
-    _add_common(p_p)
+    _add_flags(p_p)
     p_p.set_defaults(func=cmd_proj)
 
     p_t = sub.add_parser("topo", help="bundle section, winding, projection class")
     p_t.add_argument("action", choices=("section", "winding", "k0"))
     p_t.add_argument("operator")
     p_t.add_argument("--kind", choices=("diagonal", "compact"), default="diagonal")
-    _add_common(p_t)
+    _add_flags(p_t)
     p_t.set_defaults(func=cmd_topo)
 
     return parser

@@ -29,26 +29,38 @@ def _as_square(a, what, ndim=2):
     if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2]:
         shape = "a square matrix" if ndim == 2 else "a stack of square matrices"
         raise AlignmentError(f"{what} must be {shape}, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise NonFiniteEntry(f"{what} contains non-finite entries")
+    _check_finite(arr, what)
     return arr
 
 
 def _check_grid(m, p):
-    """Head size m and tail size p of an operator: p >= 1 and p | m."""
+    """Head size m and period p of a gridded value: p >= 1 and p | m."""
     if p < 1:
-        raise AlignmentError("tail block must be at least 1 x 1")
+        raise AlignmentError("period must be at least 1")
     if m % p != 0:
         raise AlignmentError(f"period {p} does not divide head size {m}")
+
+
+def _check_expand(value, m_new, p_new):
+    """Raise AlignmentError unless ``value`` can expand to (m_new, p_new): a
+    valid grid whose period is a multiple of value.p and whose head is no
+    smaller than value.m."""
+    _check_grid(m_new, p_new)
+    if p_new % value.p or m_new < value.m:
+        raise AlignmentError(f"cannot expand {value!r} to ({m_new},{p_new})")
 
 
 def _as_vector(a, what):
     arr = np.array(a, dtype=np.complex128)
     if arr.ndim != 1:
         raise AlignmentError(f"{what} must be a vector, got shape {arr.shape}")
+    _check_finite(arr, what)
+    return arr
+
+
+def _check_finite(arr, what):
     if arr.size and not np.all(np.isfinite(arr)):
         raise NonFiniteEntry(f"{what} contains non-finite entries")
-    return arr
 
 
 def _freeze(arr):
@@ -95,11 +107,9 @@ class EopOperator:
 
     def expand(self, m_new, p_new):
         """Re-represent the same operator on a coarser (m_new, p_new) grid."""
-        m, p = self.m, self.p
-        if (m_new, p_new) == (m, p):
+        if (m_new, p_new) == (self.m, self.p):
             return self
-        if p_new % p or m_new % p_new or m_new < m:
-            raise AlignmentError(f"cannot expand ({m},{p}) to ({m_new},{p_new})")
+        _check_expand(self, m_new, p_new)
         head = np.zeros((m_new, m_new), dtype=np.complex128)
         tail = np.zeros((p_new, p_new), dtype=np.complex128)
         self._fill(head, tail)
@@ -223,12 +233,7 @@ class Diagonal:
     def __init__(self, head_entries, tail_pattern):
         head = _as_vector(head_entries, "head entries")
         tail = _as_vector(tail_pattern, "tail pattern")
-        if tail.size < 1:
-            raise AlignmentError("tail pattern must have length >= 1")
-        if head.size % tail.size != 0:
-            raise AlignmentError(
-                f"period {tail.size} does not divide head size {head.size}"
-            )
+        _check_grid(head.size, tail.size)
         self.head_entries = _freeze(head)
         self.tail_pattern = _freeze(tail)
 
@@ -250,10 +255,7 @@ class Diagonal:
     def expand(self, m_new, p_new):
         if (m_new, p_new) == (self.m, self.p):
             return self
-        if p_new % self.p or m_new % p_new or m_new < self.m:
-            raise AlignmentError(
-                f"cannot expand diagonal ({self.m},{self.p}) to ({m_new},{p_new})"
-            )
+        _check_expand(self, m_new, p_new)
         reps = (m_new - self.m) // self.p
         head = np.concatenate([self.head_entries, np.tile(self.tail_pattern, reps)])
         return Diagonal(head, np.tile(self.tail_pattern, p_new // self.p))
@@ -265,7 +267,7 @@ class Diagonal:
         return np.concatenate([self.head_entries, self.tail_pattern])
 
     def __mul__(self, other):
-        a, b = align_diagonals(self, other)
+        a, b = align(self, other)
         return Diagonal(a.head_entries * b.head_entries,
                         a.tail_pattern * b.tail_pattern)
 
@@ -305,15 +307,11 @@ def common_grid(values):
     return m_new, p_new
 
 
-def align(a, b):
-    """Re-represent both operators on the common (lcm-period) grid."""
-    m_new, p_new = common_grid((a, b))
-    return a.expand(m_new, p_new), b.expand(m_new, p_new)
-
-
-def align_diagonals(a, b):
-    m_new, p_new = common_grid((a, b))
-    return a.expand(m_new, p_new), b.expand(m_new, p_new)
+def align(*values):
+    """Re-represent every value (operator, diagonal or permutation) on the
+    common grid, as a tuple in argument order."""
+    m_new, p_new = common_grid(values)
+    return tuple([v.expand(m_new, p_new) for v in values])
 
 
 def operators_close(a, b, tol=EQ_TOL):

@@ -48,7 +48,6 @@ class ExperimentConfig:
     trials: int = 300
     head_size: int = 24
     period: int = 3
-    tol: Optional[float] = None
     suite: Optional[str] = None
 
     def __post_init__(self):
@@ -83,6 +82,14 @@ def random_general(rng, m, p):
     head = _complex_gaussian(rng, (m, m), 1.0 / max(1.0, np.sqrt(m)))
     tail = _complex_gaussian(rng, (p, p), 1.0 / max(1.0, np.sqrt(p)))
     return EopOperator(head, tail)
+
+
+def random_operator(rng, trial, m, p):
+    """Member on even trials (Hermitian when trial % 6 == 4), general-tail
+    operator on odd ones, so sweeps see both."""
+    if trial % 2 == 0:
+        return random_member(rng, m, p, hermitian=(trial % 6 == 4))
+    return random_general(rng, m, p)
 
 
 def random_compact_hermitian(rng, m, p, norm_cap=2.5):
@@ -154,10 +161,7 @@ def generate(config, kind, trial=0):
     rng = trial_rng(config.seed, trial)
     m, p = config.head_size, config.period
     if kind == "operator":
-        # Alternate members and general-tail operators so sweeps see both.
-        if trial % 2 == 0:
-            return random_member(rng, m, p, hermitian=(trial % 6 == 4))
-        return random_general(rng, m, p)
+        return random_operator(rng, trial, m, p)
     if kind == "unitary":
         return random_unitary_member(rng, m, p)
     if kind == "projection":

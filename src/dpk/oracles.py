@@ -2,15 +2,13 @@
 
 These deliberately take different routes from the library implementations
 they check: norms and ranks via dense embeddings of the infinite matrix,
-Chebyshev centers via exhaustive smallest-enclosing-circle search over
-eigenvalues, and a brute-force grid minimizer for spot checks.
+and Chebyshev centers via exhaustive smallest-enclosing-circle search over
+eigenvalues.
 """
 
 import itertools
 
 import numpy as np
-
-from .core import operator_norm
 
 
 def dense_norm(t, size):
@@ -96,21 +94,3 @@ def chebyshev_radius_of_spectrum(t):
     _, radius = smallest_enclosing_circle(np.concatenate(eigs))
     return radius
 
-
-def grid_min_distance_to_scalars(t, step=1e-4, box=None):
-    """Brute-force min over a lambda grid of the operator norm of t - lambda.
-
-    Intended for small spot checks only; the grid has O((2R/step)^2) nodes.
-    """
-    radius = box if box is not None else operator_norm(t)
-    best = np.inf
-    eye_h = np.eye(t.m, dtype=complex)
-    eye_t = np.eye(t.p, dtype=complex)
-    for x in np.arange(-radius, radius + step / 2, step):
-        for y in np.arange(-radius, radius + step / 2, step):
-            lam = complex(x, y)
-            vals = [np.linalg.svd(t.tail - lam * eye_t, compute_uv=False)[0]]
-            if t.m:
-                vals.append(np.linalg.svd(t.head - lam * eye_h, compute_uv=False)[0])
-            best = min(best, max(vals))
-    return float(best)

@@ -37,6 +37,7 @@ from .generate import (
     random_compact_hermitian,
     random_general,
     random_member,
+    random_operator,
     random_pattern,
     random_phases,
     random_positive_member,
@@ -148,12 +149,6 @@ def _collect(config, case_fn, trials=None):
     return cases
 
 
-def _mixed_operator(rng, trial, m, p):
-    if trial % 2 == 0:
-        return random_member(rng, m, p, hermitian=(trial % 6 == 4))
-    return random_general(rng, m, p)
-
-
 # ----------------------------------------------------------------- suites
 
 
@@ -161,7 +156,7 @@ def _suite_delta_contractive(config):
     m, p = config.head_size, config.period
 
     def run(case, rng, trial):
-        t = _mixed_operator(rng, trial, m, p)
+        t = random_operator(rng, trial, m, p)
         d = delta(t).to_operator()
         case.check_le("contractivity", operator_norm(d) - operator_norm(t), 1e-12)
         case.check_le(
@@ -181,7 +176,7 @@ def _suite_closure(config):
     m, p = config.head_size, config.period
 
     def run(case, rng, trial):
-        a = _mixed_operator(rng, trial, m, p)
+        a = random_operator(rng, trial, m, p)
         b_period = 2 * p if (trial % 3 == 0 and m % (2 * p) == 0) else p
         b = (random_member(rng, m, b_period) if trial % 2
              else random_general(rng, m, b_period))
@@ -211,7 +206,7 @@ def _suite_norm_cstar(config):
     m, p = config.head_size, config.period
 
     def run(case, rng, trial):
-        a = _mixed_operator(rng, trial, m, p)
+        a = random_operator(rng, trial, m, p)
         b = random_general(rng, m, p)
         na, nb = operator_norm(a), operator_norm(b)
         case.check_le("cstar_identity", abs(operator_norm(a.adjoint() @ a) - na * na), 1e-12 * max(1.0, na * na))
@@ -267,7 +262,7 @@ def _suite_membership(config):
     m, p = config.head_size, config.period
 
     def run(case, rng, trial):
-        s = _mixed_operator(rng, trial, m, p)
+        s = random_operator(rng, trial, m, p)
         case.check_exact("probe_agreement", is_dpk_member(s), _commutator_probe_member(s))
         d = Diagonal(rng.standard_normal(m) + 1j * rng.standard_normal(m),
                      rng.standard_normal(p) + 1j * rng.standard_normal(p))

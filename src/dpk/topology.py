@@ -18,6 +18,7 @@ from .core import (
     Diagonal,
     EopOperator,
     _as_square,
+    _check_finite,
     _check_grid,
     common_grid,
     identity,
@@ -59,8 +60,9 @@ class UnitaryLoop:
     the read-only (n, p, p) stack of tail blocks, both C-contiguous.  There
     are two constructors:
 
-    * ``UnitaryLoop(samples)`` takes model operators (already validated as
-      such) and copies them once onto their common (lcm-period) grid;
+    * ``UnitaryLoop(samples)`` takes model operators and copies them once
+      onto their common (lcm-period) grid, then checks that the copies are
+      finite (NonFiniteEntry);
     * ``UnitaryLoop.from_stacks(heads, tails)`` takes the stacks directly
       and copies them.  It validates what an operator's constructor would:
       square blocks, stacks of the same length, tail size p >= 1 dividing
@@ -93,6 +95,10 @@ class UnitaryLoop:
         tails = np.zeros((n, p, p), dtype=np.complex128)
         for k, s in enumerate(samples):
             s._fill(heads[k], tails[k])
+        # Arithmetic such as scaling skips validation, so a sample can
+        # carry non-finite entries, which pass the tolerance comparisons.
+        _check_finite(heads, "loop heads")
+        _check_finite(tails, "loop tails")
         self._check_and_store(heads, tails)
 
     @classmethod
@@ -254,12 +260,9 @@ def k0_class(p):
 
 def k0_add(a, b):
     """Class of an orthogonal sum; patterns must stay 0/1 entrywise."""
-    if len(a.tail_pattern) != len(b.tail_pattern):
-        p_new = math.lcm(len(a.tail_pattern), len(b.tail_pattern))
-        pat_a = list(a.tail_pattern) * (p_new // len(a.tail_pattern))
-        pat_b = list(b.tail_pattern) * (p_new // len(b.tail_pattern))
-    else:
-        pat_a, pat_b = list(a.tail_pattern), list(b.tail_pattern)
+    p_new = math.lcm(len(a.tail_pattern), len(b.tail_pattern))
+    pat_a = list(a.tail_pattern) * (p_new // len(a.tail_pattern))
+    pat_b = list(b.tail_pattern) * (p_new // len(b.tail_pattern))
     summed = [x + y for x, y in zip(pat_a, pat_b)]
     if any(s > 1 for s in summed):
         raise NotOrthogonalPatterns("pattern sum leaves 0/1 range")

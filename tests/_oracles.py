@@ -196,3 +196,21 @@ def reference_combo_loop(ks, samples=48):
         head = np.exp(2j * np.pi * np.asarray(ks) * t)
         ops.append(Diagonal(head, np.ones(1, dtype=complex)).to_operator())
     return UnitaryLoop(ops)
+
+
+# Block-by-block reference for autos.PermutationSpec.expand, which now
+# builds the re-headed permutation with one broadcast: the loop version it
+# replaced, kept verbatim apart from returning the two index arrays.
+
+def reference_permutation_expand(spec, m_new, p_new):
+    m, p = spec.m, spec.p
+    head = np.empty(m_new, dtype=int)
+    head[:m] = spec.head_perm
+    for j in range((m_new - m) // p):
+        s = m + j * p
+        head[s : s + p] = s + spec.tail_perm
+    tail = np.empty(p_new, dtype=int)
+    for j in range(p_new // p):
+        s = j * p
+        tail[s : s + p] = s + spec.tail_perm
+    return head, tail

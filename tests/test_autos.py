@@ -5,6 +5,7 @@ from dpk.autos import (
     AutomorphismWord,
     PermutationSpec,
     apply_automorphism,
+    conjugate_exponent_by_perm,
     is_dpk_automorphism,
     match_finite_spectrum_conjugation,
     normal_form,
@@ -21,17 +22,18 @@ from dpk.core import (
     is_dpk_member,
     operator_norm,
 )
-from dpk.errors import NotUnitary
+from dpk.errors import AlignmentError, NotUnitary
 from dpk.factor import exp_ih
 from dpk.generate import (
     random_compact_hermitian,
+    random_general,
     random_member,
     random_phases,
     random_unitary_member,
     trial_rng,
 )
 
-from _oracles import grid_chebyshev_value
+from _oracles import grid_chebyshev_value, reference_permutation_expand
 
 
 def test_permutation_unitary_identity_and_membership():
@@ -283,3 +285,114 @@ def test_match_rejects_non_automorphism():
     u = construct(np.eye(2, dtype=complex), rot)
     with pytest.raises(NotDpkAutomorphism):
         match_finite_spectrum_conjugation(u, Diagonal([1.0, 0.0], [1.0, 0.0]))
+
+
+# The grid rule (p >= 1, p | m; expand only to a coarser grid) is shared by
+# operators, diagonals and permutations.
+
+KINDS = ("operator", "diagonal", "permutation")
+
+
+def _gridded(kind, rng, m, p):
+    if kind == "operator":
+        return random_general(rng, m, p)
+    if kind == "diagonal":
+        return Diagonal(random_phases(rng, m), random_phases(rng, p))
+    return PermutationSpec(rng.permutation(m), rng.permutation(p))
+
+
+def _dense(value, n):
+    if isinstance(value, PermutationSpec):
+        return permutation_unitary(value).dense(n)
+    if isinstance(value, Diagonal):
+        return value.to_operator().dense(n)
+    return value.dense(n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_align_three_periods_keeps_action(kind):
+    rng = trial_rng(9, 20)
+    values = [_gridded(kind, rng, m, p) for m, p in ((4, 2), (3, 3), (5, 5))]
+    aligned = align(*values)
+    assert len(aligned) == 3
+    for before, after in zip(values, aligned):
+        assert type(after) is type(before)
+        assert (after.m, after.p) == (30, 30)
+        np.testing.assert_array_equal(_dense(after, 90), _dense(before, 90))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("grid", [(4, 3), (6, 4), (2, 2), (8, 0), (4, -2)],
+                         ids=["period_not_multiple", "head_off_grid", "head_shrinks",
+                              "zero_period", "negative_period"])
+def test_expand_to_bad_grid_raises(kind, grid):
+    value = _gridded(kind, trial_rng(9, 21), 4, 2)
+    with pytest.raises(AlignmentError):
+        value.expand(*grid)
+
+
+@pytest.mark.parametrize("make", [
+    lambda m, p: EopOperator(np.eye(m), np.eye(p)),
+    lambda m, p: Diagonal(np.ones(m), np.ones(p)),
+    lambda m, p: PermutationSpec(np.arange(m), np.arange(p)),
+], ids=KINDS)
+@pytest.mark.parametrize("grid", [(2, 0), (0, 0), (3, 2)],
+                         ids=["empty_tail", "empty", "period_not_dividing"])
+def test_constructors_reject_bad_grid(make, grid):
+    with pytest.raises(AlignmentError):
+        make(*grid)
+
+
+@pytest.mark.parametrize("m, p, m_new, p_new", [
+    (4, 2, 4, 2), (4, 2, 8, 2), (4, 2, 6, 6), (0, 3, 6, 3), (0, 1, 0, 4), (3, 3, 12, 6),
+])
+def test_permutation_expand_matches_reference(m, p, m_new, p_new):
+    rng = trial_rng(9, 22)
+    spec = PermutationSpec(rng.permutation(m), rng.permutation(p))
+    out = spec.expand(m_new, p_new)
+    head, tail = reference_permutation_expand(spec, m_new, p_new)
+    np.testing.assert_array_equal(out.head_perm, head)
+    np.testing.assert_array_equal(out.tail_perm, tail)
+
+
+def _mixed_period_operands():
+    """A period-2 permutation with a nontrivial tail and period-3 operands;
+    the common grid is (6, 6), so dense corners of size 18 end on a block."""
+    rng = trial_rng(9, 23)
+    sigma = PermutationSpec(rng.permutation(4), [1, 0])
+    tau = PermutationSpec(rng.permutation(3), [2, 0, 1])
+    d = Diagonal(random_phases(rng, 3), random_phases(rng, 3))
+    x = random_compact_hermitian(rng, 6, 3, 1.0)
+    return sigma, tau, d, x
+
+
+def _conjugate_dense(u, t):
+    return u @ t @ u.conj().T
+
+
+def test_permutation_actions_on_mixed_periods_match_dense():
+    sigma, tau, d, x = _mixed_period_operands()
+    n = 18
+    u = _dense(sigma, n)
+    moved = permute_diagonal(sigma, d)
+    np.testing.assert_array_equal(_dense(moved, n), _conjugate_dense(u, _dense(d, n)))
+    conj_x = conjugate_exponent_by_perm(sigma, x)
+    np.testing.assert_array_equal(conj_x.dense(n), _conjugate_dense(u, x.dense(n)))
+    composed = sigma.compose(tau)
+    np.testing.assert_array_equal(_dense(composed, n), u @ _dense(tau, n))
+
+
+def test_normal_form_on_mixed_periods_matches_dense():
+    sigma, tau, d, x = _mixed_period_operands()
+    gens = [sigma, d, x, tau, d.conj()]
+    word = normal_form(gens)
+    assert (word.sigma.m, word.sigma.p) == (6, 6)
+    n = 18
+    product = np.eye(n, dtype=complex)
+    for gen in gens:
+        product = product @ (exp_ih(gen).dense(n) if isinstance(gen, EopOperator)
+                             else _dense(gen, n))
+    np.testing.assert_allclose(word.unitary().dense(n), product, atol=1e-9)
+    probe = random_member(trial_rng(9, 24), 3, 3)
+    np.testing.assert_allclose(apply_automorphism(word, probe).dense(n),
+                               _conjugate_dense(product, probe.dense(n)), atol=1e-9)

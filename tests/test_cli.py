@@ -130,38 +130,55 @@ def test_autos_normal_form(tmp_path):
     assert data["sigma"]["tail_perm"] == [2, 0, 1]
 
 
-def _expect_io_error(*args):
+def _expect_input_error(*args, error="IoError"):
     proc = subprocess.run([sys.executable, "-m", "dpk.cli", *args],
                           capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: IoError: "), proc.stderr
+    assert proc.stderr.startswith(f"error: {error}: "), proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("spec", [
-    {},
-    {"generators": 3},
-    {"generators": [{"head": [[1.0, 0.0]], "tail": [[1.0, 0.0]]}]},
-    {"generators": [{"kind": 7}]},
-    {"generators": [{"kind": "diagonal", "tail": [[1.0, 0.0]]}]},
-    {"generators": [{"kind": "diagonal", "head": [[1.0]], "tail": [[1.0, 0.0]]}]},
-    {"generators": [{"kind": "exponent"}]},
-    {"generators": [{"kind": "permutation", "head_perm": [0], "tail_perm": "0"}]},
-    {"generators": [{"kind": "permutation", "head_perm": ["a"], "tail_perm": [0]}]},
-    {"generators": [{"kind": "twist"}]},
+@pytest.mark.parametrize("spec, error", [
+    ({}, "IoError"),
+    ({"generators": 3}, "IoError"),
+    ({"generators": [{"head": [[1.0, 0.0]], "tail": [[1.0, 0.0]]}]}, "IoError"),
+    ({"generators": [{"kind": 7}]}, "IoError"),
+    ({"generators": [{"kind": "diagonal", "tail": [[1.0, 0.0]]}]}, "IoError"),
+    ({"generators": [{"kind": "diagonal", "head": [[1.0]], "tail": [[1.0, 0.0]]}]}, "IoError"),
+    ({"generators": [{"kind": "exponent"}]}, "IoError"),
+    ({"generators": [{"kind": "permutation", "head_perm": [0], "tail_perm": "0"}]}, "IoError"),
+    ({"generators": [{"kind": "permutation", "head_perm": ["a"], "tail_perm": [0]}]}, "IoError"),
+    ({"generators": [{"kind": "twist"}]}, "IoError"),
+    ({"generators": [{"kind": "permutation", "head_perm": [0], "tail_perm": []}]},
+     "AlignmentError"),
 ], ids=["empty", "generators_not_list", "no_kind", "kind_not_str", "no_head",
         "bad_entry", "no_operator", "tail_perm_not_list", "head_perm_not_int",
-        "unknown_kind"])
-def test_autos_normal_form_bad_input(tmp_path, spec):
+        "unknown_kind", "empty_tail_perm"])
+def test_autos_normal_form_bad_input(tmp_path, spec, error):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(spec))
-    _expect_io_error("autos", "normal-form", str(path))
+    _expect_input_error("autos", "normal-form", str(path), error=error)
+
+
+@pytest.mark.parametrize("argv", [
+    ("fredholm", "op.json", "--seed", "1"),
+    ("fredholm", "op.json", "--format", "csv"),
+    ("fredholm", "op.json", "--trace"),
+    ("verify", "--suite", "closure", "--tol", "1e-3"),
+    ("autos", "separation"),
+], ids=["fredholm_seed", "fredholm_format", "fredholm_trace", "verify_tol",
+        "autos_separation"])
+def test_unread_flags_are_rejected(argv):
+    proc = subprocess.run([sys.executable, "-m", "dpk.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_fredholm_non_integer_size(tmp_path):
     path = tmp_path / "op.json"
     path.write_text('{"m": "x", "p": 1, "head": [[[1, 0]]], "tail": [[[1, 0]]]}')
-    _expect_io_error("fredholm", str(path))
+    _expect_input_error("fredholm", str(path))
 
 
 def test_topo_winding(tmp_path):

@@ -361,9 +361,15 @@ def _phase_stacks(n=16, m=4, p=2):
 @pytest.mark.parametrize("where", ["heads", "tails"])
 def test_from_stacks_rejects_non_finite(bad, where):
     heads, tails = _phase_stacks()
+    samples = [EopOperator(h, t) for h, t in zip(heads, tails)]
     (heads if where == "heads" else tails)[3, 1, 1] = bad
     with pytest.raises(NonFiniteEntry):
         UnitaryLoop.from_stacks(heads, tails)
+    # Scaling skips validation, so a sample can carry non-finite entries.
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, which is the point
+        samples[3] = samples[3] * bad
+    with pytest.raises(NonFiniteEntry):
+        UnitaryLoop(samples)
 
 
 def test_from_stacks_rejects_bad_shapes():
