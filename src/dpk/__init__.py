@@ -21,6 +21,7 @@ from .core import (
     operators_close,
     spectrum,
     zero,
+    zero_tail,
 )
 from .errors import DpkError
 from .factor import (

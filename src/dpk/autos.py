@@ -20,6 +20,7 @@ from .core import (
     align,
     delta,
     operator_norm,
+    zero_tail,
 )
 from .errors import (
     ModelViolation,
@@ -113,7 +114,7 @@ def conjugate_exponent_by_perm(spec, x):
     s, xx = align(spec, x)
     head = np.zeros((s.m, s.m), dtype=np.complex128)
     head[np.ix_(s.head_perm, s.head_perm)] = xx.head
-    return EopOperator(head, np.zeros((s.p, s.p), dtype=np.complex128))
+    return zero_tail(head, s.p)
 
 
 def _unit_phases(values):
@@ -149,7 +150,7 @@ class AutomorphismWord:
     def identity_word(m=0, p=1):
         return AutomorphismWord(
             Diagonal(np.ones(m, dtype=complex), np.ones(p, dtype=complex)),
-            EopOperator(np.zeros((m, m)), np.zeros((p, p))),
+            zero_tail(np.zeros((m, m)), p),
             PermutationSpec.identity_spec(m, p),
         )
 
@@ -170,8 +171,7 @@ def apply_automorphism(word, t):
 def _fold_exponents(x, y):
     """Hermitian log of exp(iX) exp(iY); both zero-tail, so is the result."""
     a, b = align(x, y)
-    head = log_unitary_matrix((exp_ih(a) @ exp_ih(b)).head)
-    return EopOperator(head, np.zeros((a.p, a.p), dtype=np.complex128))
+    return zero_tail(log_unitary_matrix((exp_ih(a) @ exp_ih(b)).head), a.p)
 
 
 def normal_form(generators):
@@ -190,10 +190,7 @@ def normal_form(generators):
             w = w * moved
             # exp(iX) D = D (D* exp(iX) D); conjugate the exponent.
             mh, xh = align(moved.to_operator(), x)
-            x = EopOperator(
-                mh.head.conj().T @ xh.head @ mh.head,
-                np.zeros((xh.p, xh.p), dtype=np.complex128),
-            )
+            x = zero_tail(mh.head.conj().T @ xh.head @ mh.head, xh.p)
         elif isinstance(gen, EopOperator):
             if svmax(gen.head - gen.head.conj().T) > 1e-10 or np.any(gen.tail != 0):
                 raise ModelViolation(
@@ -367,7 +364,7 @@ def match_finite_spectrum_conjugation(u, d0):
     for basis_src, basis_dst in blocks:
         y += basis_dst @ basis_src.conj().T
     y = polar_unitary(y)
-    x = EopOperator(log_unitary_matrix(y), np.zeros((p, p), dtype=np.complex128))
+    x = zero_tail(log_unitary_matrix(y), p)
 
     word = AutomorphismWord(
         Diagonal(np.ones(m, dtype=complex), np.ones(p, dtype=complex)), x, sigma

@@ -106,7 +106,7 @@ def _config_from_args(args, **extra):
     return ExperimentConfig(seed=args.seed, head_size=args.head, period=args.period, **extra)
 
 
-# Shared flags; each subcommand takes --out plus the ones it reads.
+# Flags; each subcommand takes --out plus the ones it reads.
 FLAGS = {
     "--seed": dict(type=int, default=0),
     "--trials": dict(type=int, default=300),
@@ -116,6 +116,7 @@ FLAGS = {
     "--out": dict(default=None, help="write output here instead of stdout"),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--trace": dict(action="store_true"),
+    "--kind": dict(choices=("diagonal", "compact"), default="diagonal"),
     "--no-meta": dict(action="store_true", dest="no_meta",
                       help="omit wall-time metadata so reruns are byte-identical"),
 }
@@ -220,80 +221,118 @@ def cmd_character(args):
     return 0
 
 
-def cmd_autos(args):
-    if args.action == "stampfli":
-        a = _read_operator(args.operator)
-        tol = args.tol if args.tol is not None else 1e-8
-        _emit(args, {"derivation_norm": autos.stampfli_derivation_norm(a, tol=tol)})
-        return 0
-    if args.action == "normal-form":
-        items = _field(_read_json(args.operator), "generators", list, "normal-form input")
-        word = autos.normal_form([_generator_from_obj(item, k) for k, item in enumerate(items)])
-        payload = {
-            "w": _diag_to_obj(word.w),
-            "exponent": operator_to_obj(word.exponent, normalized=False),
-            "sigma": {
-                "head_perm": word.sigma.head_perm.tolist(),
-                "tail_perm": word.sigma.tail_perm.tolist(),
-            },
-        }
-        _emit(args, payload)
-        return 0
-    raise DpkError(f"unknown autos action {args.action!r}")
+def cmd_autos_stampfli(args):
+    a = _read_operator(args.operator)
+    tol = args.tol if args.tol is not None else 1e-8
+    _emit(args, {"derivation_norm": autos.stampfli_derivation_norm(a, tol=tol)})
+    return 0
 
 
-def cmd_proj(args):
-    if args.action == "index":
-        p = ModelProjection(_read_operator(args.operator))
-        q = ModelProjection(_read_operator(args.second))
-        _emit(args, {"index": projections.pair_index(p, q)})
-        return 0
-    if args.action == "classify":
-        p = ModelProjection(_read_operator(args.operator))
-        _emit(args, projections.classify_component(p).to_obj())
-        return 0
-    if args.action == "geodesic":
-        p = ModelProjection(_read_operator(args.operator))
-        q = ModelProjection(_read_operator(args.second))
-        geo = projections.minimal_geodesic(p, q)
-        gap = operator_norm(p.op - q.op)
-        payload = {
-            "exponent": operator_to_obj(geo.exponent, normalized=False),
-            "length": geo.length,
-            "gap": gap,
-            "arcsin_residual": abs(geo.length - float(np.arcsin(min(gap, 1.0)))),
-        }
-        _emit(args, payload)
-        return 0
-    raise DpkError(f"unknown proj action {args.action!r}")
+def cmd_autos_normal_form(args):
+    items = _field(_read_json(args.operator), "generators", list, "normal-form input")
+    word = autos.normal_form([_generator_from_obj(item, k) for k, item in enumerate(items)])
+    payload = {
+        "w": _diag_to_obj(word.w),
+        "exponent": operator_to_obj(word.exponent, normalized=False),
+        "sigma": {
+            "head_perm": word.sigma.head_perm.tolist(),
+            "tail_perm": word.sigma.tail_perm.tolist(),
+        },
+    }
+    _emit(args, payload)
+    return 0
 
 
-def cmd_topo(args):
-    if args.action == "section":
-        u = _read_operator(args.operator)
-        d, v = topology.bundle_section(u)
-        payload = {
-            "diagonal": _diag_to_obj(d),
-            "fiber_factor": operator_to_obj(v, normalized=False),
-            "residual": operator_norm(d.to_operator() @ v - u),
-        }
-        _emit(args, payload)
-        return 0
-    if args.action == "winding":
-        samples = _field(_read_json(args.operator), "samples", list, "winding input")
-        loop = topology.UnitaryLoop([operator_from_obj(o) for o in samples])
-        if args.kind == "diagonal":
-            head_w, tail_w = topology.loop_winding(loop, "diagonal")
-            payload = {"head": head_w.tolist(), "tail": tail_w.tolist()}
-        else:
-            payload = {"det": topology.loop_winding(loop, "compact")}
-        _emit(args, payload)
-        return 0
-    if args.action == "k0":
-        p = ModelProjection(_read_operator(args.operator))
-        _emit(args, topology.k0_class(p).to_obj())
-        return 0
-    raise DpkError(f"unknown topo action {args.action!r}")
+def _read_projections(args):
+    return (ModelProjection(_read_operator(args.operator)),
+            ModelProjection(_read_operator(args.second)))
+
+
+def cmd_proj_index(args):
+    p, q = _read_projections(args)
+    _emit(args, {"index": projections.pair_index(p, q)})
+    return 0
+
+
+def cmd_proj_classify(args):
+    p = ModelProjection(_read_operator(args.operator))
+    _emit(args, projections.classify_component(p).to_obj())
+    return 0
+
+
+def cmd_proj_geodesic(args):
+    p, q = _read_projections(args)
+    geo = projections.minimal_geodesic(p, q)
+    gap = operator_norm(p.op - q.op)
+    payload = {
+        "exponent": operator_to_obj(geo.exponent, normalized=False),
+        "length": geo.length,
+        "gap": gap,
+        "arcsin_residual": abs(geo.length - float(np.arcsin(min(gap, 1.0)))),
+    }
+    _emit(args, payload)
+    return 0
+
+
+def cmd_topo_section(args):
+    u = _read_operator(args.operator)
+    d, v = topology.bundle_section(u)
+    payload = {
+        "diagonal": _diag_to_obj(d),
+        "fiber_factor": operator_to_obj(v, normalized=False),
+        "residual": operator_norm(d.to_operator() @ v - u),
+    }
+    _emit(args, payload)
+    return 0
+
+
+def cmd_topo_winding(args):
+    samples = _field(_read_json(args.operator), "samples", list, "winding input")
+    loop = topology.UnitaryLoop([operator_from_obj(o) for o in samples])
+    if args.kind == "diagonal":
+        head_w, tail_w = topology.loop_winding(loop, "diagonal")
+        payload = {"head": head_w.tolist(), "tail": tail_w.tolist()}
+    else:
+        payload = {"det": topology.loop_winding(loop, "compact")}
+    _emit(args, payload)
+    return 0
+
+
+def cmd_topo_k0(args):
+    p = ModelProjection(_read_operator(args.operator))
+    _emit(args, topology.k0_class(p).to_obj())
+    return 0
+
+
+def _add_command(sub, name, func, help=None, operands=("operator",), flags=()):
+    """Subcommand ``name`` running ``func``, with its operand files and the
+    shared flags it reads."""
+    parser = sub.add_parser(name, help=help)
+    for operand in operands:
+        parser.add_argument(operand, help="JSON file, or - for stdin")
+    _add_flags(parser, *flags)
+    parser.set_defaults(func=func)
+    return parser
+
+
+# Commands with one nested subcommand per action, each given as
+# (action, function, operand files, flags it reads).
+ACTIONS = (
+    ("autos", "automorphism machinery", [
+        ("stampfli", cmd_autos_stampfli, ("operator",), ("--tol",)),
+        ("normal-form", cmd_autos_normal_form, ("operator",), ()),
+    ]),
+    ("proj", "projection geometry", [
+        ("index", cmd_proj_index, ("operator", "second"), ()),
+        ("classify", cmd_proj_classify, ("operator",), ()),
+        ("geodesic", cmd_proj_geodesic, ("operator", "second"), ()),
+    ]),
+    ("topo", "bundle section, winding, projection class", [
+        ("section", cmd_topo_section, ("operator",), ()),
+        ("winding", cmd_topo_winding, ("operator",), ("--kind",)),
+        ("k0", cmd_topo_k0, ("operator",), ()),
+    ]),
+)
 
 
 def build_parser():
@@ -302,64 +341,25 @@ def build_parser():
         description="Exactly computable model of diagonal-plus-compact operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate a seeded instance")
+    p_gen = _add_command(sub, "gen", cmd_gen, "generate a seeded instance", (),
+                         ("--seed", "--head", "--period"))
     p_gen.add_argument("kind", choices=KINDS)
     p_gen.add_argument("--trial", type=int, default=0)
-    _add_flags(p_gen, "--seed", "--head", "--period")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = _add_command(sub, "verify", cmd_verify, "run a verification suite", (),
+                            ("--seed", "--head", "--period", "--trials", "--format", "--no-meta"))
     p_verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    _add_flags(p_verify, "--seed", "--head", "--period", "--trials", "--format", "--no-meta")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_fred = sub.add_parser("fredholm", help="Fredholm data of an operator")
-    p_fred.add_argument("operator", help="operator JSON file, or - for stdin")
-    _add_flags(p_fred)
-    p_fred.set_defaults(func=cmd_fredholm)
-
-    p_fu = sub.add_parser("factor-unitary", help="diagonal times exponential factorization")
-    p_fu.add_argument("operator")
-    _add_flags(p_fu)
-    p_fu.set_defaults(func=cmd_factor_unitary)
-
-    p_pr = sub.add_parser("porta-recht", help="positive factorization D^1/2 e^Z D^1/2")
-    p_pr.add_argument("operator")
-    _add_flags(p_pr, "--tol", "--trace")
-    p_pr.set_defaults(func=cmd_porta_recht)
-
-    p_q = sub.add_parser("quotient", help="quotient class of a member")
-    p_q.add_argument("operator")
-    _add_flags(p_q)
-    p_q.set_defaults(func=cmd_quotient)
-
-    p_c = sub.add_parser("character", help="residue character evaluation")
-    p_c.add_argument("operator")
-    p_c.add_argument("--residue", type=int, required=True)
-    _add_flags(p_c)
-    p_c.set_defaults(func=cmd_character)
-
-    p_a = sub.add_parser("autos", help="automorphism machinery")
-    p_a.add_argument("action", choices=("stampfli", "normal-form"))
-    p_a.add_argument("operator", help="operator or generator-list JSON")
-    _add_flags(p_a, "--tol")
-    p_a.set_defaults(func=cmd_autos)
-
-    p_p = sub.add_parser("proj", help="projection geometry")
-    p_p.add_argument("action", choices=("index", "classify", "geodesic"))
-    p_p.add_argument("operator")
-    p_p.add_argument("second", nargs="?", default=None)
-    _add_flags(p_p)
-    p_p.set_defaults(func=cmd_proj)
-
-    p_t = sub.add_parser("topo", help="bundle section, winding, projection class")
-    p_t.add_argument("action", choices=("section", "winding", "k0"))
-    p_t.add_argument("operator")
-    p_t.add_argument("--kind", choices=("diagonal", "compact"), default="diagonal")
-    _add_flags(p_t)
-    p_t.set_defaults(func=cmd_topo)
-
+    _add_command(sub, "fredholm", cmd_fredholm, "Fredholm data of an operator")
+    _add_command(sub, "factor-unitary", cmd_factor_unitary,
+                 "diagonal times exponential factorization")
+    _add_command(sub, "porta-recht", cmd_porta_recht, "positive factorization D^1/2 e^Z D^1/2",
+                 flags=("--tol", "--trace"))
+    _add_command(sub, "quotient", cmd_quotient, "quotient class of a member")
+    p_char = _add_command(sub, "character", cmd_character, "residue character evaluation")
+    p_char.add_argument("--residue", type=int, required=True)
+    for name, help, actions in ACTIONS:
+        nested = sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+        for action, func, operands, flags in actions:
+            _add_command(nested, action, func, None, operands, flags)
     return parser
 
 

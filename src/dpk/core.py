@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import AlignmentError, NonFiniteEntry, NotInDpk
-from .linalg import block_norm, dedup_complex, svmax
+from .linalg import block_norm, dedup_complex, exactly_diagonal
 
 EQ_TOL = 1e-12
 
@@ -143,10 +143,6 @@ class EopOperator:
     def adjoint(self):
         return EopOperator._new(self.head.conj().T.copy(), self.tail.conj().T.copy())
 
-    @property
-    def H(self):
-        return self.adjoint()
-
     def __add__(self, other):
         a, b = align(self, other)
         return EopOperator._new(a.head + b.head, a.tail + b.tail)
@@ -171,17 +167,9 @@ class EopOperator:
     def isclose(self, other, tol=EQ_TOL):
         return operators_close(self, other, tol)
 
-    def is_hermitian(self, tol=1e-10):
-        return (
-            float(max(svmax(self.head - self.head.conj().T),
-                      svmax(self.tail - self.tail.conj().T))) <= tol
-        )
-
     def is_diagonal(self):
         """True when head and tail are exactly diagonal matrices."""
-        h_ok = self.m == 0 or bool(np.all(self.head == np.diag(np.diagonal(self.head))))
-        t_ok = bool(np.all(self.tail == np.diag(np.diagonal(self.tail))))
-        return h_ok and t_ok
+        return bool(exactly_diagonal(self.head) and exactly_diagonal(self.tail))
 
     def normalize(self):
         """Shrink period and head when the representation is redundant.
@@ -295,9 +283,13 @@ def identity(m=0, p=1):
 
 
 def zero(m=0, p=1):
-    return EopOperator(
-        np.zeros((m, m), dtype=np.complex128), np.zeros((p, p), dtype=np.complex128)
-    )
+    return zero_tail(np.zeros((m, m), dtype=np.complex128), p)
+
+
+def zero_tail(head, p):
+    """Validated operator with the given head and an exactly zero p x p
+    tail: the model's compact operators."""
+    return EopOperator(head, np.zeros((p, p), dtype=np.complex128))
 
 
 def common_grid(values):
@@ -308,15 +300,15 @@ def common_grid(values):
 
 
 def align(*values):
-    """Re-represent every value (operator, diagonal or permutation) on the
-    common grid, as a tuple in argument order."""
+    """Re-represent every value (operator, diagonal, permutation or quotient
+    class) on the common grid, as a tuple in argument order."""
     m_new, p_new = common_grid(values)
     return tuple([v.expand(m_new, p_new) for v in values])
 
 
 def operators_close(a, b, tol=EQ_TOL):
     x, y = align(a, b)
-    dh = float(np.max(np.abs(x.head - y.head))) if x.m else 0.0
+    dh = float(np.max(np.abs(x.head - y.head), initial=0.0))
     dt = float(np.max(np.abs(x.tail - y.tail)))
     return max(dh, dt) <= tol
 
@@ -328,7 +320,7 @@ def delta(t):
 
 def is_dpk_member(s):
     """True exactly when the tail block is a diagonal matrix."""
-    return bool(np.all(s.tail == np.diag(np.diagonal(s.tail))))
+    return bool(exactly_diagonal(s.tail))
 
 
 def canonical_decompose(t):
@@ -337,16 +329,12 @@ def canonical_decompose(t):
         raise NotInDpk("tail block of T - delta(T) is nonzero")
     d = delta(t)
     k_head = t.head - np.diag(d.head_entries)
-    compact = EopOperator(k_head, np.zeros((t.p, t.p), dtype=np.complex128))
-    return DpkElement(d, compact)
+    return DpkElement(d, zero_tail(k_head, t.p))
 
 
 def operator_norm(t):
     """Exact operator norm: max singular value over the two blocks."""
-    vals = [block_norm(t.tail)]
-    if t.m:
-        vals.append(block_norm(t.head))
-    return float(max(vals))
+    return float(max(block_norm(t.tail), block_norm(t.head)))
 
 
 def spectrum(t, tol=1e-10):
@@ -356,10 +344,7 @@ def spectrum(t, tol=1e-10):
     the essential part is exactly the tail eigenvalue set.
     """
     ess = dedup_complex(np.linalg.eigvals(t.tail), tol)
-    if t.m:
-        pts = np.concatenate([np.linalg.eigvals(t.head), ess])
-    else:
-        pts = ess
+    pts = np.concatenate([np.linalg.eigvals(t.head), ess])
     return dedup_complex(pts, tol), ess
 
 

@@ -12,12 +12,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import Diagonal, EopOperator, delta, is_dpk_member, operator_norm
+from .core import Diagonal, EopOperator, delta, is_dpk_member, operator_norm, zero_tail
 from .errors import NoConvergence, NotInDpk, NotPositive, NotUnitary
 from .linalg import (
     block_norms,
-    expi_hermitian,
+    exactly_diagonal,
     herm,
+    hermitian_function,
     log_hermitian_pd,
     log_unitary_matrix,
     principal_phases,
@@ -26,14 +27,21 @@ from .linalg import (
 UNITARY_TOL = 1e-10
 
 
+def _hermitian_op_function(x, f):
+    """f(x) for a Hermitian model operator: each block through its
+    eigendecomposition, an exactly diagonal tail entrywise (so it stays
+    exactly diagonal)."""
+    head = hermitian_function(herm(x.head), f)
+    if exactly_diagonal(x.tail):
+        tail = np.diag(f(np.diagonal(x.tail).real))
+    else:
+        tail = hermitian_function(herm(x.tail), f)
+    return EopOperator(head, tail)
+
+
 def exp_ih(x):
     """exp(i*x) for a Hermitian model operator, exact on diagonal tails."""
-    head = expi_hermitian(herm(x.head)) if x.m else x.head
-    if np.all(x.tail == np.diag(np.diagonal(x.tail))):
-        tail = np.diag(np.exp(1j * np.diagonal(x.tail).real))
-    else:
-        tail = expi_hermitian(herm(x.tail))
-    return EopOperator(head, tail)
+    return _hermitian_op_function(x, lambda w: np.exp(1j * w))
 
 
 def _gram_defects(blocks):
@@ -71,7 +79,7 @@ def log_unitary(u):
     """
     require_unitary(u)
     head = log_unitary_matrix(u.head)
-    if np.all(u.tail == np.diag(np.diagonal(u.tail))):
+    if exactly_diagonal(u.tail):
         tail = np.diag(principal_phases(np.diagonal(u.tail)).astype(np.complex128))
     else:
         tail = log_unitary_matrix(u.tail)
@@ -111,8 +119,7 @@ def unitary_factorize(u):
                       _phase(np.asarray(d.tail_pattern)))
     w = phases.conj().to_operator() @ u
     x_head = log_unitary_matrix(w.head)
-    x = EopOperator(x_head, np.zeros((u.p, u.p), dtype=np.complex128))
-    return UnitaryFactorization(phases, x)
+    return UnitaryFactorization(phases, zero_tail(x_head, u.p))
 
 
 def unitary_path(u, t):
@@ -146,21 +153,7 @@ class PortaRechtFactorization:
         root = Diagonal(np.sqrt(np.asarray(d.head_entries).real).astype(complex),
                         np.sqrt(np.asarray(d.tail_pattern).real).astype(complex))
         r = root.to_operator()
-        return r @ _exp_hermitian_op(self.exponent) @ r
-
-
-def _exp_hermitian_op(x):
-    if np.all(x.tail == np.diag(np.diagonal(x.tail))):
-        tail = np.diag(np.exp(np.diagonal(x.tail).real).astype(complex))
-    else:
-        w, v = np.linalg.eigh(herm(x.tail))
-        tail = (v * np.exp(w)) @ v.conj().T
-    if x.m:
-        w, v = np.linalg.eigh(herm(x.head))
-        head = (v * np.exp(w)) @ v.conj().T
-    else:
-        head = x.head
-    return EopOperator(head, tail)
+        return r @ _hermitian_op_function(self.exponent, np.exp) @ r
 
 
 def porta_recht(a, tol=1e-10, max_iter=500, init_log_diagonal=None, keep_trace=False):
@@ -203,7 +196,7 @@ def porta_recht(a, tol=1e-10, max_iter=500, init_log_diagonal=None, keep_trace=F
 
     if m == 0:
         d = Diagonal(np.zeros(0, dtype=complex), pattern)
-        z = EopOperator(np.zeros((0, 0)), np.zeros((p, p)))
+        z = zero_tail(np.zeros((0, 0)), p)
         return PortaRechtFactorization(d, z, 0, 0.0, [])
 
     if init_log_diagonal is None:
@@ -227,8 +220,7 @@ def porta_recht(a, tol=1e-10, max_iter=500, init_log_diagonal=None, keep_trace=F
             trace.append((it, res, alpha))
         if res <= tol:
             d = Diagonal(np.exp(ell).astype(complex), pattern.copy())
-            z = EopOperator(z_head, np.zeros((p, p), dtype=np.complex128))
-            return PortaRechtFactorization(d, z, it, res, trace)
+            return PortaRechtFactorization(d, zero_tail(z_head, p), it, res, trace)
         if not np.isfinite(res) or res > 1e8:
             raise NoConvergence("iteration diverged", iterations=it, residual=res)
         if res > prev_res:

@@ -22,6 +22,7 @@ from .core import (
     identity,
     is_dpk_member,
     operator_norm,
+    zero_tail,
 )
 from .errors import ModelViolation, NoConvergence, NotInDpk, NotInvertible
 from .linalg import nullity, svmin
@@ -65,8 +66,7 @@ def is_invertible(t):
     s_tail = svmin(t.tail)
     if min(s_head, s_tail) <= INVERTIBILITY_TOL:
         return False, None
-    inv_head = np.linalg.inv(t.head) if t.m else t.head
-    return True, EopOperator(inv_head, np.linalg.inv(t.tail))
+    return True, EopOperator(np.linalg.inv(t.head), np.linalg.inv(t.tail))
 
 
 def invertible_diagonal_decomposition(t):
@@ -120,14 +120,13 @@ def invertible_approx(t, eps):
     m_op = dec.compact_part
     shift = min(1e-6, eps / 8.0)
     for _ in range(4):
-        ratio_head = m_op.head / d_eps.head_entries[:, None] if t.m else m_op.head
-        eigs = np.linalg.eigvals(ratio_head) if t.m else np.zeros(0)
-        if eigs.size == 0 or np.min(np.abs(eigs + 1.0)) > 1e-8:
+        eigs = np.linalg.eigvals(m_op.head / d_eps.head_entries[:, None])
+        if np.min(np.abs(eigs + 1.0), initial=np.inf) > 1e-8:
             break
         u, s, _ = np.linalg.svd(m_op.head)
         rank = int(np.count_nonzero(s > 1e-12))
         proj = u[:, :rank] @ u[:, :rank].conj().T
-        m_op = m_op + EopOperator(shift * proj, np.zeros((t.p, t.p)))
+        m_op = m_op + zero_tail(shift * proj, t.p)
     else:
         raise NoConvergence("could not steer -1 out of the spectrum", iterations=3)
     out = d_eps.to_operator() + m_op
@@ -142,7 +141,7 @@ def fredholm_data(t):
     s_tail = svmin(t.tail)
     if s_tail <= INVERTIBILITY_TOL:
         return FredholmData(False, None, None, None, s_tail)
-    k = nullity(t.head, INVERTIBILITY_TOL) if t.m else 0
+    k = nullity(t.head, INVERTIBILITY_TOL)
     return FredholmData(True, 0, k, k, s_tail)
 
 

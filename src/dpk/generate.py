@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .autos import PermutationSpec
-from .core import Diagonal, EopOperator
+from .core import Diagonal, EopOperator, zero_tail
 from .errors import ConfigError
 from .factor import exp_ih
 from .linalg import herm
@@ -95,11 +95,11 @@ def random_operator(rng, trial, m, p):
 def random_compact_hermitian(rng, m, p, norm_cap=2.5):
     """Hermitian with exactly zero tail, norm uniform in (0.1, norm_cap)."""
     if m == 0:
-        return EopOperator(np.zeros((0, 0)), np.zeros((p, p)))
+        return zero_tail(np.zeros((0, 0)), p)
     raw = herm(_complex_gaussian(rng, (m, m)))
     top = float(np.max(np.abs(np.linalg.eigvalsh(raw)))) or 1.0
     target = rng.uniform(min(0.1, norm_cap / 2.0), norm_cap)
-    return EopOperator(raw * (target / top), np.zeros((p, p)))
+    return zero_tail(raw * (target / top), p)
 
 
 def random_phases(rng, n):

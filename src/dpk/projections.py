@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Diagonal, EopOperator, align, is_dpk_member, operator_norm
+from .core import Diagonal, EopOperator, align, is_dpk_member, operator_norm, zero_tail
 from .errors import (
     IndexNotZero,
     InsufficientRoom,
@@ -101,8 +101,6 @@ class ModelProjection:
         return ModelProjection._trusted(self.op.expand(m_new, p_new))
 
     def head_rank(self):
-        if self.m == 0:
-            return 0
         w = np.linalg.eigvalsh(herm(self.head))
         return int(np.count_nonzero(w > 0.5))
 
@@ -239,7 +237,7 @@ def _rotation_exponent(src, dst):
     k = herm(dst.head - src.head)
     m = src.m
     if m == 0:
-        return EopOperator(np.zeros((0, 0)), np.zeros((src.p, src.p))), 0.0
+        return zero_tail(np.zeros((0, 0)), src.p), 0.0
     w, v = eigh_sorted(k)
     plus = np.abs(w - 1.0) <= EIG_CLUSTER_TOL
     minus = np.abs(w + 1.0) <= EIG_CLUSTER_TOL
@@ -265,9 +263,8 @@ def _rotation_exponent(src, dst):
         pairing = v_plus @ v_minus.conj().T
         x_head += 1j * (np.pi / 2.0) * (pairing - pairing.conj().T)
     x_head = herm(x_head)
-    x = EopOperator(x_head, np.zeros((src.p, src.p), dtype=np.complex128))
-    length = float(np.max(np.abs(np.linalg.eigvalsh(x_head)))) if m else 0.0
-    return x, length
+    length = float(np.max(np.abs(np.linalg.eigvalsh(x_head))))
+    return zero_tail(x_head, src.p), length
 
 
 def _verify_conjugation(x, src, dst, tol=1e-8):

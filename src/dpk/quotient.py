@@ -6,11 +6,9 @@ are the residue evaluations Psi_r.  Positive functionals split into a trace
 part against a finite matrix and a singular part supported on the residues.
 """
 
-import math
-
 import numpy as np
 
-from .core import Diagonal, is_dpk_member
+from .core import Diagonal, _check_expand, align, is_dpk_member
 from .errors import AlignmentError, BadResidue, NotInDpk, NotPositive
 from .linalg import herm
 
@@ -25,7 +23,11 @@ __all__ = [
 
 
 class QuotientClass:
-    """Tail diagonal pattern of a member, up to period expansion."""
+    """Tail diagonal pattern of a member, up to period expansion.
+
+    It has no head (m = 0), so ``core.align`` puts two classes on their lcm
+    period.
+    """
 
     __slots__ = ("values",)
 
@@ -37,6 +39,10 @@ class QuotientClass:
         self.values.setflags(write=False)
 
     @property
+    def m(self):
+        return 0
+
+    @property
     def p(self):
         return self.values.size
 
@@ -44,20 +50,19 @@ class QuotientClass:
     def norm(self):
         return float(np.max(np.abs(self.values)))
 
-    def expand(self, p_new):
-        if p_new % self.p:
-            raise AlignmentError(f"cannot expand period {self.p} to {p_new}")
+    def expand(self, m_new, p_new):
+        if (m_new, p_new) == (self.m, self.p):
+            return self
+        _check_expand(self, m_new, p_new)
         return QuotientClass(np.tile(self.values, p_new // self.p))
 
     def isclose(self, other, tol=1e-12):
-        p_new = math.lcm(self.p, other.p)
-        a = self.expand(p_new).values
-        b = other.expand(p_new).values
-        return bool(np.max(np.abs(a - b)) <= tol)
+        a, b = align(self, other)
+        return bool(np.max(np.abs(a.values - b.values)) <= tol)
 
     def __mul__(self, other):
-        p_new = math.lcm(self.p, other.p)
-        return QuotientClass(self.expand(p_new).values * other.expand(p_new).values)
+        a, b = align(self, other)
+        return QuotientClass(a.values * b.values)
 
     def __repr__(self):
         return f"QuotientClass(p={self.p})"

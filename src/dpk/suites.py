@@ -23,6 +23,7 @@ from .core import (
     identity,
     is_dpk_member,
     operator_norm,
+    zero_tail,
 )
 from .errors import (
     ConfigError,
@@ -164,7 +165,7 @@ def _suite_delta_contractive(config):
         )
         case.check_exact("idempotent", np.array_equal(delta(d).to_operator().head, d.head)
                          and np.array_equal(delta(d).to_operator().tail, d.tail), True)
-        compact = EopOperator(t.head, np.zeros((p, p)))
+        compact = zero_tail(t.head, p)
         case.check_exact(
             "preserves_compacts", bool(np.all(delta(compact).tail_pattern == 0)), True
         )
@@ -312,9 +313,8 @@ def _suite_fredholm(config):
                 np.diag(pattern),
             )
         else:
-            t = EopOperator(
-                (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(m),
-                np.zeros((p, p)),
+            t = zero_tail(
+                (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(m), p
             )
         fd = fredholm.fredholm_data(t)
         case.check_exact("fredholm_iff_tail_invertible", fd.is_fredholm,
@@ -468,7 +468,7 @@ def _suite_quotient(config):
         case.check_le("product_law",
                       float(np.max(np.abs(qprod.values - qs.values * qt.values))), 1e-13)
         case.check_le("contractive", qs.norm - operator_norm(s), 1e-12)
-        compact = EopOperator(s.head, np.zeros((p, p)))
+        compact = zero_tail(s.head, p)
         case.check_exact("kills_compacts", quotient.quotient_class(compact).norm, 0.0)
         case.check_exact("ideal_shadow",
                          quotient.quotient_class(compact).norm == 0.0,
@@ -724,7 +724,7 @@ def _probe_operators(m, p):
         for j in range(min(m, 3)):
             head = np.zeros((m, m), dtype=complex)
             head[i, j] = 1.0
-            probes.append(EopOperator(head, np.zeros((p, p))))
+            probes.append(zero_tail(head, p))
     for r in range(p):
         head_bits = np.zeros(m, dtype=complex)
         head_bits[np.arange(m) % p == r] = 1.0
@@ -785,7 +785,7 @@ def _suite_automorphism(config):
                       operator_norm(autos.apply_automorphism(word, t @ s)
                                     - image_t @ autos.apply_automorphism(word, s)), 1e-9)
         case.check_exact("member_preserved", is_dpk_member(image_t), True)
-        compact = EopOperator(t.head, np.zeros((p, p)))
+        compact = zero_tail(t.head, p)
         case.check_exact("compacts_preserved",
                          bool(np.all(autos.apply_automorphism(word, compact).tail == 0)),
                          True)

@@ -166,12 +166,28 @@ def test_autos_normal_form_bad_input(tmp_path, spec, error):
     ("fredholm", "op.json", "--trace"),
     ("verify", "--suite", "closure", "--tol", "1e-3"),
     ("autos", "separation"),
+    ("autos", "normal-form", "f.json", "--tol", "5"),
+    ("proj", "index", "p.json"),
+    ("proj", "geodesic", "p.json"),
+    ("proj", "classify", "a.json", "b.json"),
+    ("topo", "section", "u.json", "--kind", "compact"),
+    ("topo", "k0", "p.json", "--kind", "compact"),
 ], ids=["fredholm_seed", "fredholm_format", "fredholm_trace", "verify_tol",
-        "autos_separation"])
-def test_unread_flags_are_rejected(argv):
+        "autos_separation", "normal_form_tol", "index_one_file", "geodesic_one_file",
+        "classify_two_files", "section_kind", "k0_kind"])
+def test_unread_flags_are_rejected(tmp_path, argv):
+    # Every named file exists and is valid, so only the parser can refuse.
+    from dpk.core import identity
+    from dpk.serial import dump_operator
+
+    for name in ("op.json", "p.json", "a.json", "b.json", "u.json"):
+        (tmp_path / name).write_text(dump_operator(identity(2, 1)))
+    (tmp_path / "f.json").write_text('{"generators": []}')
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     proc = subprocess.run([sys.executable, "-m", "dpk.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage:"), proc.stderr
     assert "Traceback" not in proc.stderr
 
 

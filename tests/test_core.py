@@ -15,9 +15,11 @@ from dpk.core import (
     operators_close,
     spectrum,
     zero,
+    zero_tail,
 )
 from dpk.errors import AlignmentError, NonFiniteEntry, NotInDpk
 from dpk.generate import random_general, random_member, trial_rng
+from dpk.linalg import block_norm, exactly_diagonal
 from dpk.serial import dump_operator, load_operator, operator_to_obj
 
 from _oracles import commutator_probe, dense_embed, dense_operator_norm
@@ -30,9 +32,77 @@ def test_construct_identity_case():
 
 
 def test_construct_zero_tail_is_member_and_compact():
-    k = construct([[1.0, 2.0], [3.0, 4.0]], [[0.0]])
-    assert is_dpk_member(k)
-    assert np.all(k.tail == 0)
+    for k in (construct([[1.0, 2.0], [3.0, 4.0]], [[0.0]]),
+              zero_tail([[1.0, 2.0], [3.0, 4.0]], 2)):
+        assert is_dpk_member(k)
+        assert np.all(k.tail == 0) and k.tail.dtype == np.complex128
+    with pytest.raises(AlignmentError):
+        zero_tail(np.eye(3), 2)
+    with pytest.raises(NonFiniteEntry):
+        zero_tail([[np.inf]], 1)
+
+
+def _old_exactly_diagonal(a):
+    return bool(np.all(a == np.diag(np.diagonal(a))))
+
+
+def _signed_zero_blocks():
+    """Blocks whose off-diagonal entries are zeros of every sign, real and
+    complex, next to blocks with one nonzero off-diagonal entry."""
+    zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+    blocks = [np.zeros((0, 0), dtype=complex), np.array([[-0.0]], dtype=complex)]
+    for k, z in enumerate(zeros):
+        b = np.diag(np.array([1.5, -0.0, 2j], dtype=complex))
+        b[0, 2] = z
+        b[2, 1] = zeros[-1 - k]
+        blocks.append(b)
+        off = b.copy()
+        off[1, 0] = 1e-300
+        blocks.append(off)
+    return blocks
+
+
+def test_exactly_diagonal_matches_the_equality_test_on_blocks():
+    rng = trial_rng(3, 0)
+    blocks = _signed_zero_blocks()
+    for _ in range(20):
+        t = random_member(rng, 6, 3)
+        blocks += [t.head, t.tail, np.diag(np.diagonal(t.head))]
+    for b in blocks:
+        assert exactly_diagonal(b) == _old_exactly_diagonal(b), b
+    t = random_member(rng, 6, 3)
+    assert type(is_dpk_member(t)) is bool and type(t.is_diagonal()) is bool
+
+
+def test_exactly_diagonal_stacked_matches_each_block():
+    blocks = [b for b in _signed_zero_blocks() if b.shape == (3, 3)]
+    stack = np.stack(blocks)
+    np.testing.assert_array_equal(exactly_diagonal(stack),
+                                  [_old_exactly_diagonal(b) for b in blocks])
+    assert exactly_diagonal(np.zeros((4, 0, 0))).tolist() == [True] * 4
+
+
+def test_exactly_diagonal_counts_nan_on_the_diagonal_as_diagonal():
+    # Validated operators are finite, so only arithmetic that overflows puts
+    # NaN on a diagonal (inf - inf).  The equality test called such a tail
+    # non-diagonal; the nonzero count calls it diagonal.
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = construct(np.eye(2), np.diag([1e308, 1.0])) * 10.0
+        t = big - big
+        u = construct(np.eye(2), np.eye(2)) * np.inf
+    assert np.isnan(t.tail[0, 0]) and np.all(t.tail[[0, 1, 1], [1, 0, 1]] == 0)
+    assert is_dpk_member(t) and not _old_exactly_diagonal(t.tail)
+    # NaN off the diagonal is not diagonal under either test.
+    assert np.isnan(u.tail[0, 1]) and not is_dpk_member(u)
+
+
+def test_block_norm_of_exactly_diagonal_blocks_takes_the_largest_modulus():
+    assert block_norm(np.diag([3.0, -4.0j])) == 4.0
+    b = np.diag([3.0, -4.0j])
+    b[0, 1] = -0.0
+    assert block_norm(b) == 4.0
+    b[0, 1] = 1.0
+    assert block_norm(b) == pytest.approx(np.linalg.norm(b, 2), rel=1e-12)
 
 
 def test_construct_rejects_misaligned_grid():

@@ -10,6 +10,7 @@ from dpk.core import (
     identity,
     is_dpk_member,
     operator_norm,
+    operators_close,
     spectrum,
 )
 from dpk.errors import ConfigError
@@ -38,6 +39,42 @@ def test_pure_tail_inversion_and_fredholm():
     assert operator_norm(t @ inv - identity()) <= 1e-12
     fd = fredholm.fredholm_data(t)
     assert fd.is_fredholm and fd.kernel_dim == 0
+
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def test_empty_head_exp_ih_with_non_diagonal_tail():
+    u = factor.exp_ih(construct(np.zeros((0, 0)), SWAP))
+    assert u.m == 0
+    expected = np.cos(1.0) * np.eye(2) + 1j * np.sin(1.0) * SWAP
+    np.testing.assert_allclose(u.tail, expected, atol=1e-15)
+
+
+def test_empty_head_is_invertible_with_non_diagonal_tail():
+    t = construct(np.zeros((0, 0)), [[1.0, 2.0], [3.0, 4.0]])
+    ok, inv = fredholm.is_invertible(t)
+    assert ok and inv.m == 0
+    assert operator_norm(t @ inv - identity()) <= 1e-12
+    assert not fredholm.is_invertible(construct(np.zeros((0, 0)), SWAP - SWAP))[0]
+
+
+def test_empty_head_invertible_approx():
+    t = _pure_tail([0.0, 2.0])
+    out = fredholm.invertible_approx(t, 0.1)
+    assert out.m == 0 and fredholm.is_invertible(out)[0]
+    np.testing.assert_array_equal(np.diagonal(out.tail), [0.1, 2.0])
+    assert operator_norm(out - t) < 3 * 0.1
+
+
+def test_empty_head_operators_close():
+    t = _pure_tail([1.0, 2.0])
+    assert operators_close(t, _pure_tail([1.0, 2.0 + 1e-13]))
+    assert not operators_close(t, _pure_tail([1.0, 2.1]))
+
+
+def test_empty_head_rank():
+    assert projections.ModelProjection(_pure_tail([1.0, 0.0])).head_rank() == 0
 
 
 def test_pure_tail_factorizations():

@@ -41,6 +41,24 @@ def test_quotient_class_alignment_equality():
     assert a.norm == 2.0
 
 
+def test_quotient_class_coprime_periods_align_on_the_lcm():
+    a = QuotientClass([1.0, 2.0])
+    b = QuotientClass([1.0, 3.0, 5.0])
+    assert (a.m, a.p) == (0, 2)
+    assert a.isclose(QuotientClass([1.0, 2.0] * 3))
+    assert not a.isclose(b)
+    np.testing.assert_array_equal((a * b).values, [1.0, 6.0, 5.0, 2.0, 3.0, 10.0])
+    assert (b * a).isclose(a * b)
+
+
+def test_quotient_class_expand_needs_a_multiple_period():
+    a = QuotientClass([1.0, 2.0])
+    assert a.expand(0, 2) is a
+    np.testing.assert_array_equal(a.expand(0, 4).values, [1.0, 2.0, 1.0, 2.0])
+    with pytest.raises(AlignmentError):
+        a.expand(0, 3)
+
+
 def test_quotient_rejects_nonmember():
     with pytest.raises(NotInDpk):
         quotient_class(construct(np.zeros((0, 0)), [[0.0, 1.0], [1.0, 0.0]]))
