@@ -17,6 +17,7 @@ from .core import (
     EopOperator,
     _check_expand,
     _check_grid,
+    _freeze,
     align,
     delta,
     operator_norm,
@@ -32,28 +33,52 @@ from .linalg import eigh_sorted, herm, log_unitary_matrix, polar_unitary, svmax
 
 
 def _as_perm(values, what):
-    arr = np.array(values, dtype=int)
-    if arr.ndim != 1 or sorted(arr.tolist()) != list(range(arr.size)):
+    """Integer copy of a permutation of 0..n-1; an empty one (n = 0) may
+    come as any empty vector, e.g. ``[]``."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ModelViolation(f"{what} is not a permutation")
+    # np.asarray turns [True, 0] into integers, so bools are looked for
+    # among the entries themselves.
+    if arr.size and (arr.dtype.kind not in "iu" or any(
+            isinstance(v, (bool, np.bool_)) for v in values)):
+        raise ModelViolation(f"{what} entries must be integers")
+    arr = arr.astype(int)
+    if sorted(arr.tolist()) != list(range(arr.size)):
         raise ModelViolation(f"{what} is not a permutation")
     return arr
 
 
-class PermutationSpec:
+class _Frozen:
+    """Base of immutable values: assigning or deleting an attribute raises
+    AttributeError.  ``__init__``, and caches filled on first use, write
+    through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class PermutationSpec(_Frozen):
     """Head permutation plus a residue permutation of the tail grid.
 
     The induced operator permutes the first m basis vectors by ``head_perm``
     and acts inside every tail block by ``tail_perm``; its support is
-    infinite exactly when the residue permutation is nontrivial.
+    infinite exactly when the residue permutation is nontrivial.  Immutable.
     """
 
     __slots__ = ("head_perm", "tail_perm")
 
     def __init__(self, head_perm, tail_perm):
-        self.head_perm = _as_perm(head_perm, "head permutation")
-        self.tail_perm = _as_perm(tail_perm, "tail residue permutation")
-        _check_grid(self.head_perm.size, self.tail_perm.size)
-        self.head_perm.setflags(write=False)
-        self.tail_perm.setflags(write=False)
+        head = _as_perm(head_perm, "head permutation")
+        tail = _as_perm(tail_perm, "tail residue permutation")
+        _check_grid(head.size, tail.size)
+        object.__setattr__(self, "head_perm", _freeze(head))
+        object.__setattr__(self, "tail_perm", _freeze(tail))
 
     @property
     def m(self):
@@ -124,24 +149,28 @@ def _unit_phases(values):
     return values / np.where(mags == 0, 1.0, mags)
 
 
-class AutomorphismWord:
+class AutomorphismWord(_Frozen):
     """Normal form theta_w theta_X theta_sigma.
 
     Acts on T as U T U* with U = D_w exp(iX) U_sigma; w has unit-modulus
-    entries, X is Hermitian with exactly zero tail.
+    entries, X is Hermitian with exactly zero tail.  A word is immutable
+    (assigning an attribute raises AttributeError), so U and U* are computed
+    once, on first use, and kept on the word: applying a word again costs no
+    further exp(iX).
     """
 
-    __slots__ = ("w", "exponent", "sigma")
+    __slots__ = ("w", "exponent", "sigma", "_u", "_u_adjoint")
 
     def __init__(self, w, exponent, sigma):
-        self.w = Diagonal(_unit_phases(np.asarray(w.head_entries)),
-                          _unit_phases(np.asarray(w.tail_pattern)))
+        w = Diagonal(_unit_phases(np.asarray(w.head_entries)),
+                     _unit_phases(np.asarray(w.tail_pattern)))
         if svmax(exponent.head - exponent.head.conj().T) > 1e-10:
             raise ModelViolation("word exponent must be Hermitian")
         if np.any(exponent.tail != 0):
             raise ModelViolation("word exponent must have exactly zero tail")
-        self.exponent = exponent
-        self.sigma = sigma
+        for name, value in (("w", w), ("exponent", exponent), ("sigma", sigma),
+                            ("_u", None), ("_u_adjoint", None)):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         return f"AutomorphismWord(m={self.sigma.m}, p={self.sigma.p})"
@@ -155,17 +184,27 @@ class AutomorphismWord:
         )
 
     def unitary(self):
-        return (
-            self.w.to_operator()
-            @ exp_ih(self.exponent)
-            @ permutation_unitary(self.sigma)
-        )
+        """U = D_w exp(iX) U_sigma, on the word's grid."""
+        if self._u is None:
+            u = (
+                self.w.to_operator()
+                @ exp_ih(self.exponent)
+                @ permutation_unitary(self.sigma)
+            )
+            object.__setattr__(self, "_u", u)
+        return self._u
+
+    def unitary_adjoint(self):
+        """U*, on the word's grid."""
+        if self._u_adjoint is None:
+            object.__setattr__(self, "_u_adjoint", self.unitary().adjoint())
+        return self._u_adjoint
 
 
 def apply_automorphism(word, t):
     """theta_w theta_X theta_sigma applied to t."""
-    u, tt = align(word.unitary(), t)
-    return u @ tt @ u.adjoint()
+    u, ua, tt = align(word.unitary(), word.unitary_adjoint(), t)
+    return u @ tt @ ua
 
 
 def _fold_exponents(x, y):
@@ -326,22 +365,24 @@ def match_finite_spectrum_conjugation(u, d0):
     """
     if not isinstance(d0, Diagonal):
         raise TypeError("d0 must be a Diagonal")
-    ok, _ = is_dpk_automorphism(u)
+    ok, witness = is_dpk_automorphism(u)
     if not ok:
         raise NotDpkAutomorphism("tail block is not diagonal-times-permutation")
 
     d0_op, u_al = align(d0.to_operator(), u)
     d0_al = delta(d0_op)
     m, p = u_al.m, u_al.p
-    ok, witness = is_dpk_automorphism(u_al)
-    if not ok:
-        raise NotDpkAutomorphism("tail witness lost under alignment")
+    if u_al is not u:
+        ok, witness = is_dpk_automorphism(u_al)
+        if not ok:
+            raise NotDpkAutomorphism("tail witness lost under alignment")
     _, tail_perm = witness
     sigma = PermutationSpec(np.arange(m), tail_perm)
 
     _, head_labels, tail_labels = _cluster_diagonal_values(d0_al)
     n_values = max(head_labels.tolist() + tail_labels.tolist()) + 1
 
+    u_al_adjoint = u_al.adjoint()
     blocks = []
     for k in range(n_values):
         support = np.flatnonzero(head_labels == k)
@@ -349,7 +390,7 @@ def match_finite_spectrum_conjugation(u, d0):
         mask_head[support] = 1.0
         mask_tail = (tail_labels == k).astype(complex)
         e_k = Diagonal(mask_head, mask_tail).to_operator()
-        p_k = u_al @ e_k @ u_al.adjoint()
+        p_k = u_al @ e_k @ u_al_adjoint
         rank = support.size
         basis_src = np.eye(m, dtype=np.complex128)[:, support]
         w_eig, v_eig = eigh_sorted(herm(p_k.head))
@@ -369,7 +410,7 @@ def match_finite_spectrum_conjugation(u, d0):
     word = AutomorphismWord(
         Diagonal(np.ones(m, dtype=complex), np.ones(p, dtype=complex)), x, sigma
     )
-    target = u_al @ d0_op @ u_al.adjoint()
+    target = u_al @ d0_op @ u_al_adjoint
     residual = operator_norm(apply_automorphism(word, d0_op) - target)
     if residual > 1e-8:
         raise ModelViolation(f"conjugation matching residual {residual:.3e} too large")

@@ -749,17 +749,26 @@ def _random_word_generators(rng, m, p, count=5):
     return gens
 
 
-def _apply_generators(gens, t):
-    out = t
-    for gen in reversed(gens):
+def _generator_unitaries(gens):
+    """(U, U*) of each generator, built once and shared by every probe."""
+    pairs = []
+    for gen in gens:
         if isinstance(gen, Diagonal):
             u = gen.to_operator()
         elif isinstance(gen, EopOperator):
             u = factor.exp_ih(gen)
         else:
             u = autos.permutation_unitary(gen)
-        uu, tt = align(u, out)
-        out = uu @ tt @ uu.adjoint()
+        pairs.append((u, u.adjoint()))
+    return pairs
+
+
+def _apply_generators(pairs, t):
+    """Conjugate t by each generator in turn, the last one first."""
+    out = t
+    for u, ua in reversed(pairs):
+        uu, uua, tt = align(u, ua, out)
+        out = uu @ tt @ uua
     return out
 
 
@@ -769,8 +778,9 @@ def _suite_automorphism(config):
     def run(case, rng, trial):
         gens = _random_word_generators(rng, m, p)
         word = autos.normal_form(gens)
+        pairs = _generator_unitaries(gens)
         for probe in _probe_operators(min(m, 3 * p), p):
-            direct = _apply_generators(gens, probe)
+            direct = _apply_generators(pairs, probe)
             folded = autos.apply_automorphism(word, probe)
             case.check_le("normal_form_probe", operator_norm(direct - folded), 1e-9)
         t = random_member(rng, m, p, hermitian=(trial % 2 == 0))
@@ -813,7 +823,7 @@ def _suite_automorphism(config):
         d0 = Diagonal(values[rng.integers(0, 3, size=m)].astype(complex),
                       values[rng.integers(0, 3, size=p)].astype(complex))
         matched = autos.match_finite_spectrum_conjugation(u, d0)
-        target = u @ d0.to_operator() @ u.adjoint()
+        target = u @ d0.to_operator() @ word.unitary_adjoint()
         case.check_le("conjugation_match",
                       operator_norm(autos.apply_automorphism(matched, d0.to_operator())
                                     - target), 1e-8)

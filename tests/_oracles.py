@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from dpk.core import Diagonal, align, operator_norm
+from dpk.autos import permutation_unitary
+from dpk.core import Diagonal, EopOperator, align, operator_norm
 from dpk.errors import KindMismatch, StepTooLarge
-from dpk.factor import require_unitary
+from dpk.factor import exp_ih, require_unitary
 from dpk.topology import UnitaryLoop
 
 
@@ -214,3 +215,36 @@ def reference_permutation_expand(spec, m_new, p_new):
         s = j * p
         tail[s : s + p] = s + spec.tail_perm
     return head, tail
+
+
+# Uncached references for autos.apply_automorphism, which now reuses the
+# word's kept U and U*, and for the automorphism suite's _apply_generators,
+# which now takes each generator's (U, U*) built once per trial: the code
+# they replaced, kept verbatim apart from rebuilding U where it used to.
+
+def reference_unitary(word):
+    """U = D_w exp(iX) U_sigma, built afresh from the word's parts."""
+    return (
+        word.w.to_operator()
+        @ exp_ih(word.exponent)
+        @ permutation_unitary(word.sigma)
+    )
+
+
+def reference_apply_automorphism(word, t):
+    u, tt = align(reference_unitary(word), t)
+    return u @ tt @ u.adjoint()
+
+
+def reference_apply_generators(gens, t):
+    out = t
+    for gen in reversed(gens):
+        if isinstance(gen, Diagonal):
+            u = gen.to_operator()
+        elif isinstance(gen, EopOperator):
+            u = exp_ih(gen)
+        else:
+            u = permutation_unitary(gen)
+        uu, tt = align(u, out)
+        out = uu @ tt @ uu.adjoint()
+    return out

@@ -1,6 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
 
+from dpk import autos
 from dpk.autos import (
     AutomorphismWord,
     PermutationSpec,
@@ -22,7 +25,7 @@ from dpk.core import (
     is_dpk_member,
     operator_norm,
 )
-from dpk.errors import AlignmentError, NotUnitary
+from dpk.errors import AlignmentError, ModelViolation, NotUnitary
 from dpk.factor import exp_ih
 from dpk.generate import (
     random_compact_hermitian,
@@ -32,8 +35,15 @@ from dpk.generate import (
     random_unitary_member,
     trial_rng,
 )
+from dpk.suites import _apply_generators, _generator_unitaries, _random_word_generators
 
-from _oracles import grid_chebyshev_value, reference_permutation_expand
+from _oracles import (
+    grid_chebyshev_value,
+    reference_apply_automorphism,
+    reference_apply_generators,
+    reference_permutation_expand,
+    reference_unitary,
+)
 
 
 def test_permutation_unitary_identity_and_membership():
@@ -128,16 +138,7 @@ def test_normal_form_random_words_match_action():
         word = normal_form(gens)
         for _ in range(5):
             probe = random_member(rng, 6, 3)
-            direct = probe
-            for gen in reversed(gens):
-                if isinstance(gen, Diagonal):
-                    u = gen.to_operator()
-                elif isinstance(gen, EopOperator):
-                    u = exp_ih(gen)
-                else:
-                    u = permutation_unitary(gen)
-                uu, tt = align(u, direct)
-                direct = uu @ tt @ uu.adjoint()
+            direct = reference_apply_generators(gens, probe)
             assert operator_norm(direct - apply_automorphism(word, probe)) <= 1e-9
 
 
@@ -396,3 +397,152 @@ def test_normal_form_on_mixed_periods_matches_dense():
     probe = random_member(trial_rng(9, 24), 3, 3)
     np.testing.assert_allclose(apply_automorphism(word, probe).dense(n),
                                _conjugate_dense(product, probe.dense(n)), atol=1e-9)
+
+
+# A word keeps U and U*; these tests check the kept values against the
+# uncached code they replaced, bit for bit, and guard against a stale cache.
+
+def _random_word(rng, m, p):
+    return AutomorphismWord(
+        Diagonal(random_phases(rng, m), random_phases(rng, p)),
+        random_compact_hermitian(rng, m, p, 1.5),
+        PermutationSpec(rng.permutation(m), rng.permutation(p)),
+    )
+
+
+def _assert_bit_equal(a, b):
+    assert (a.m, a.p) == (b.m, b.p)
+    assert np.array_equal(a.head, b.head)
+    assert np.array_equal(a.tail, b.tail)
+
+
+# (word grid, operand grid): one grid; a period-2 word on a period-3
+# operand, where U and U* both expand; a word with an empty head.
+GRID_CASES = [((6, 3), (6, 3)), ((4, 2), (3, 3)), ((0, 2), (4, 2))]
+GRID_IDS = ["same_grid", "mixed_grids", "empty_head"]
+
+
+@pytest.mark.parametrize("word_grid, operand_grid", GRID_CASES, ids=GRID_IDS)
+def test_apply_automorphism_bit_equal_to_uncached(word_grid, operand_grid):
+    rng = trial_rng(9, 30)
+    word = _random_word(rng, *word_grid)
+    for _ in range(3):
+        t = random_member(rng, *operand_grid)
+        _assert_bit_equal(apply_automorphism(word, t), reference_apply_automorphism(word, t))
+
+
+@pytest.mark.parametrize("word_grid, operand_grid", GRID_CASES, ids=GRID_IDS)
+def test_suite_generator_action_bit_equal_to_per_probe(word_grid, operand_grid):
+    rng = trial_rng(9, 31)
+    gens = _random_word_generators(rng, *word_grid)
+    pairs = _generator_unitaries(gens)
+    for _ in range(3):
+        t = random_member(rng, *operand_grid)
+        _assert_bit_equal(_apply_generators(pairs, t), reference_apply_generators(gens, t))
+
+
+@pytest.mark.parametrize("kind", ["word", "spec"])
+def test_word_and_spec_refuse_attribute_assignment(kind):
+    word = _random_word(trial_rng(9, 32), 6, 3)
+    value = word if kind == "word" else word.sigma
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_kept_unitaries_stay_equal_to_fresh_ones():
+    rng = trial_rng(9, 33)
+    t = random_member(rng, 6, 3)
+
+    def check(word):
+        fresh = reference_unitary(word)
+        _assert_bit_equal(word.unitary(), fresh)
+        _assert_bit_equal(word.unitary_adjoint(), fresh.adjoint())
+
+    words = [_random_word(rng, 6, 3) for _ in range(4)]
+    for k in (0, 2, 1, 3, 2, 0):
+        apply_automorphism(words[k], t)
+        for word in words:
+            check(word)
+    # New words may reuse the memory, and so the id(), of dropped ones.
+    del words[1:3]
+    gc.collect()
+    words += [_random_word(rng, 6, 3) for _ in range(3)]
+    for k in (4, 0, 2, 1, 3, 0):
+        apply_automorphism(words[k], t)
+        for word in words:
+            check(word)
+
+
+def test_applying_a_word_builds_its_exponential_once(monkeypatch):
+    calls = []
+    real = autos.exp_ih
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(autos, "exp_ih", counted)
+    rng = trial_rng(9, 34)
+    word = _random_word(rng, 6, 3)
+    t = random_member(rng, 6, 3)
+    for _ in range(5):
+        apply_automorphism(word, t)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d0_grid, checks", [((6, 3), 1), ((4, 2), 2)],
+                         ids=["u_on_common_grid", "u_expanded"])
+def test_match_checks_the_aligned_unitary_only_when_it_expands(monkeypatch, d0_grid,
+                                                                checks):
+    calls = []
+    real = autos.is_dpk_automorphism
+
+    def counted(u):
+        calls.append(u)
+        return real(u)
+
+    monkeypatch.setattr(autos, "is_dpk_automorphism", counted)
+    rng = trial_rng(9, 35)
+    u = _random_word(rng, 6, 3).unitary()
+    m, p = d0_grid
+    d0 = Diagonal(rng.choice([0.5, -1.0], m).astype(complex),
+                  rng.choice([0.5, -1.0], p).astype(complex))
+    word = match_finite_spectrum_conjugation(u, d0)
+    assert len(calls) == checks
+    target = u @ d0.to_operator() @ u.adjoint()
+    assert operator_norm(apply_automorphism(word, d0.to_operator()) - target) <= 1e-8
+
+
+@pytest.mark.parametrize("head, tail", [
+    ([0.7, 1.2, 2.9], [0.2]),
+    ([True, False], [0]),
+    (["1", "0"], [0]),
+    ([0, True], [0]),
+    (np.array([1.0, 0.0]), [0]),
+    ([1, 0], [0.0]),
+    ([1, 0], [False]),
+    ([1, 0], ["0"]),
+], ids=["floats", "bools", "strings", "int_and_bool", "float_array", "float_tail",
+        "bool_tail", "string_tail"])
+def test_permutation_entries_must_be_integers(head, tail):
+    with pytest.raises(ModelViolation):
+        PermutationSpec(head, tail)
+
+
+@pytest.mark.parametrize("head", [[], (), np.arange(0), np.zeros(0)],
+                         ids=["list", "tuple", "int_array", "float_array"])
+def test_empty_head_permutation_accepted(head):
+    spec = PermutationSpec(head, [1, 0])
+    assert (spec.m, spec.p) == (0, 2)
+    assert spec.head_perm.dtype == int
+
+
+def test_permutation_accepts_numpy_integers():
+    spec = PermutationSpec([np.int64(1), 0], np.array([0, 1], dtype=np.uint8))
+    np.testing.assert_array_equal(spec.head_perm, [1, 0])
+    np.testing.assert_array_equal(spec.tail_perm, [0, 1])
