@@ -44,6 +44,7 @@ from .fredholm import (
 )
 from .autos import (
     AutomorphismWord,
+    DerivationNorm,
     PermutationSpec,
     apply_automorphism,
     is_dpk_automorphism,

@@ -10,6 +10,9 @@ The permutation convention is U_sigma e_n = e_{sigma(n)}, under which
 conjugation carries the diagonal entry at position n to position sigma(n).
 """
 
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .core import (
@@ -24,6 +27,7 @@ from .core import (
     zero_tail,
 )
 from .errors import (
+    ConfigError,
     ModelViolation,
     NotDpkAutomorphism,
     NotUnitary,
@@ -269,73 +273,220 @@ def is_dpk_automorphism(u):
     return True, (phases, perm)
 
 
-def _golden_min(f, lo, hi, xtol):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > xtol:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
+# Work cap of one stampfli_derivation_norm call, summed over its restarts:
+# objective evaluations (one SVD per block) plus dual bounds (one SVD with
+# vectors per block).  A tol out of reach ends here, with the gap reached.
+STAMPFLI_BUDGET = 1000
+# The dual bound takes, per block, the right singular vectors of B - z whose
+# singular value is within NEAR_TOP (relative) of the objective, at most
+# MAX_VECTORS of them, plus SUPPORT_DIRECTIONS support points of the
+# numerical range of B - z compressed to their span.  The cap keeps the
+# exact search over mixtures of three states to at most C(80, 3) = 82,160
+# candidates however large the head.
+NEAR_TOP = 1e-3
+MAX_VECTORS = 32
+SUPPORT_DIRECTIONS = 8
+
+
+@dataclass(frozen=True, eq=False)
+class DerivationNorm:
+    """Certified derivation norm: ``value - gap <= ||delta_a|| <= value``.
+
+    ``value`` is 2 max(sigma_max(head - z), sigma_max(tail - z)) at
+    z = ``center``.  The lower bound is 2 sqrt(sum_k t_k a_k - |sum_k t_k
+    b_k|^2), the variance of ``a`` in the mixed state with weights
+    t_k = ``weights[k]`` over the vector states ``states[k] = (block, x_k)``,
+    where a_k = ||(B - z) x_k||^2, b_k = <(B - z) x_k, x_k> and B is the named
+    block ("head" or "tail").  The variance does not depend on z, and no
+    scalar comes closer than its square root.  ``evaluations`` counts the
+    work spent (see STAMPFLI_BUDGET).
+    """
+
+    value: float
+    center: complex
+    gap: float
+    states: tuple = field(repr=False)
+    weights: tuple
+    evaluations: int
+
+    def to_obj(self):
+        return {
+            "derivation_norm": self.value,
+            "gap": self.gap,
+            "center": [self.center.real, self.center.imag],
+            "evaluations": self.evaluations,
+        }
+
+
+def _nelder_mead(f, z0, f0, scale, ftol, budget):
+    """Minimize f over the complex plane from the simplex z0, z0 + scale,
+    z0 + i scale, where f(z0) = f0 is known; a complex scale also turns the
+    simplex.
+
+    Stops once the vertex values spread by at most ftol, the simplex has
+    collapsed to one point, or another step (at most 3 evaluations) would
+    spend more than ``budget`` evaluations in all.  Vertices are ordered by
+    a stable sort, so ties keep their order and reruns are bit for bit
+    equal.  Returns (best z, its value, evaluations, distance from the best
+    vertex to the farthest).
+    """
+    pts = [z0, z0 + scale, z0 + 1j * scale]
+    vals = [f0, f(pts[1]), f(pts[2])]
+    evals = 2
+    while True:
+        order = sorted(range(3), key=vals.__getitem__)
+        pts = [pts[k] for k in order]
+        vals = [vals[k] for k in order]
+        size = max(abs(pts[1] - pts[0]), abs(pts[2] - pts[0]))
+        if vals[2] - vals[0] <= ftol or size == 0.0 or evals + 3 > budget:
+            return pts[0], vals[0], evals, size
+        mid = (pts[0] + pts[1]) / 2.0
+        reflected = 2.0 * mid - pts[2]
+        f_r = f(reflected)
+        evals += 1
+        if f_r < vals[0]:
+            expanded = 3.0 * mid - 2.0 * pts[2]
+            f_e = f(expanded)
+            evals += 1
+            pts[2], vals[2] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
+        elif f_r < vals[1]:
+            pts[2], vals[2] = reflected, f_r
         else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    mid = (lo + hi) / 2.0
-    return mid, f(mid)
+            inner = (mid + (reflected if f_r < vals[2] else pts[2])) / 2.0
+            f_c = f(inner)
+            evals += 1
+            if f_c < min(f_r, vals[2]):
+                pts[2], vals[2] = inner, f_c
+            else:
+                for k in (1, 2):
+                    pts[k] = (pts[0] + pts[k]) / 2.0
+                    vals[k] = f(pts[k])
+                evals += 2
 
 
-def _nested_golden(objective, x_box, y_box, xtol):
-    def best_over_y(x):
-        return _golden_min(lambda y: objective(x, y), y_box[0], y_box[1], xtol)
+def _best_mixture(a, b):
+    """Weights t on the simplex maximizing t.a - |t.b|^2, and that maximum.
 
-    x_star, _ = _golden_min(lambda x: best_over_y(x)[1], x_box[0], x_box[1], xtol)
-    y_star, value = best_over_y(x_star)
-    return x_star, y_star, value
+    The objective depends on t through (t.a, t.b), a point of R^3 whose
+    best position lies on a face of the upper convex hull, spanned by at
+    most 3 states (Caratheodory in the b-plane).  So the maximum is the best
+    stationary point over all supports of one, two or three states; the
+    degenerate supports (coincident or collinear b) are covered by the
+    smaller ones.
+    """
+    n = a.size
+    r = np.arange(n)
+    lt = r[:, None] < r
+    supports = [((r,), (np.ones(n),))]
+    # On a segment i-j the concave quadratic in t_j = s peaks at s below.
+    i, j = np.nonzero(lt)
+    d = b[j] - b[i]
+    dd = np.abs(d) ** 2
+    s = ((a[j] - a[i]) / 2.0 - (b[i].conj() * d).real) / np.where(dd > 0.0, dd, 1.0)
+    s = np.clip(np.where(dd > 0.0, s, 0.0), 0.0, 1.0)
+    supports.append(((i, j), (1.0 - s, s)))
+    # On a triangle i-j-k the stationary point is the radical centre
+    # beta = b_i + q, where a_l - 2<beta, b_l> is equal at the three
+    # vertices; the weights are its barycentric coordinates.
+    i, j, k = np.nonzero(lt[:, :, None] & lt)
+    e1, e2 = b[j] - b[i], b[k] - b[i]
+    det = (e1.conj() * e2).imag
+    flat = det == 0.0
+    det = np.where(flat, 1.0, det)
+    r1 = (a[j] - a[i]) / 2.0 - (b[i].conj() * e1).real
+    r2 = (a[k] - a[i]) / 2.0 - (b[i].conj() * e2).real
+    q = ((r1 * e2.imag - r2 * e1.imag) + 1j * (e1.real * r2 - e2.real * r1)) / det
+    tj, tk = (q.conj() * e2).imag / det, (e1.conj() * q).imag / det
+    ti = 1.0 - tj - tk
+    inside = ~flat & (ti >= 0.0) & (tj >= 0.0) & (tk >= 0.0)
+    supports.append(((i[inside], j[inside], k[inside]), (ti[inside], tj[inside], tk[inside])))
+
+    best_value, best_t = -np.inf, None
+    for idx, w in supports:
+        values = (sum(wl * a[il] for il, wl in zip(idx, w))
+                  - np.abs(sum(wl * b[il] for il, wl in zip(idx, w))) ** 2)
+        if values.size and values.max() > best_value:
+            pick = int(np.argmax(values))
+            best_value, best_t = float(values[pick]), np.zeros(n)
+            for il, wl in zip(idx, w):
+                best_t[il[pick]] += wl[pick]
+    return best_t, best_value
+
+
+def _variance_bound(blocks, z, fz):
+    """(lower bound, states, weights, step) from the near-top vector states
+    of the shifted blocks B - z, where fz is the objective at z.  The step
+    t.b moves z to the scalar closest to the mixture."""
+    states, a_parts, b_parts = [], [], []
+    for name, block, eye in blocks:
+        shifted = block - z * eye
+        _, sv, vh = np.linalg.svd(shifted)
+        x = vh[: MAX_VECTORS][sv[: MAX_VECTORS] >= (1.0 - NEAR_TOP) * fz].conj().T
+        if x.shape[1] > 1:
+            # Support points of the numerical range of the compression: at
+            # a minimizer where sigma_max is multiple, the singular vectors
+            # alone may not surround 0.
+            c = x.conj().T @ shifted @ x
+            turns = np.exp(-2j * np.pi * np.arange(SUPPORT_DIRECTIONS) / SUPPORT_DIRECTIONS)
+            _, vecs = eigh_sorted(herm(turns[:, None, None] * c))
+            x = np.concatenate([x, x @ vecs[:, :, -1].T], axis=1)
+        y = shifted @ x
+        a_parts.append(np.sum(np.abs(y) ** 2, axis=0))
+        b_parts.append(np.sum(x.conj() * y, axis=0))
+        states += [(name, x[:, k]) for k in range(x.shape[1])]
+    b = np.concatenate(b_parts)
+    t, variance = _best_mixture(np.concatenate(a_parts), b)
+    keep = np.flatnonzero(t)
+    return (2.0 * math.sqrt(max(variance, 0.0)),
+            tuple((states[k][0], _freeze(states[k][1].copy())) for k in keep),
+            tuple(float(t[k]) for k in keep), complex(t @ b))
 
 
 def stampfli_derivation_norm(a, tol=1e-8):
-    """Norm of the inner derivation of ``a``: twice the distance to scalars.
+    """Norm of the inner derivation of ``a``: twice the distance to scalars
+    (Stampfli), with a certificate of how close.
 
-    Minimizes max(sigma_max(head - z), sigma_max(tail - z)) over complex z
-    by nested golden-section search on the box |Re z|, |Im z| <= norm(a)
-    (the minimizer lies in the closure of the numerical range), followed by
-    a compass polish.  The objective is jointly convex, hence unimodal
-    along every line.
+    The primal minimizes f(z) = max(sigma_max(head - z), sigma_max(tail - z))
+    by Nelder-Mead in the plane, from a simplex at the mean diagonal entry
+    z0 with scale f(z0)/2 (the minimizer lies within f(z0) of z0, in the
+    closure of the numerical range).  The dual is the mixed-state variance
+    bound ||a - z||^2 >= rho(a* a) - |rho(a)|^2 (Bjorck-Thomee-Istratescu),
+    with rho the best mixture of vector states taken at the primal point.
+    Nelder-Mead restarts from its best point until the gap between the two
+    is at most ``tol``, or the work reaches STAMPFLI_BUDGET.  Returns a
+    DerivationNorm.
     """
-    radius = operator_norm(a)
-    if radius == 0.0:
-        return 0.0
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be finite and positive, got {tol!r}")
+    blocks = tuple((name, b, np.eye(b.shape[0])) for name, b in (("head", a.head), ("tail", a.tail))
+                   if b.size)
 
-    head, tail = a.head, a.tail
-    eye_h = np.eye(a.m, dtype=np.complex128)
-    eye_t = np.eye(a.p, dtype=np.complex128)
+    def objective(z):
+        return max(svmax(b - z * eye) for _, b, eye in blocks)
 
-    def objective(x, y):
-        lam = complex(x, y)
-        vals = [svmax(tail - lam * eye_t)]
-        if a.m:
-            vals.append(svmax(head - lam * eye_h))
-        return max(vals)
-
-    x_star, y_star, value = _nested_golden(
-        objective, (-radius, radius), (-radius, radius), tol
-    )
-
-    step = 16.0 * tol
-    while step > tol / 4.0:
-        moved = False
-        for dx, dy in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            cand = objective(x_star + dx, y_star + dy)
-            if cand < value:
-                x_star, y_star, value = x_star + dx, y_star + dy, cand
-                moved = True
-                break
-        if not moved:
-            step /= 2.0
-    return 2.0 * value
+    z = complex(np.mean(np.concatenate([np.diagonal(b) for _, b, _ in blocks])))
+    fz = objective(z)
+    lower, states, weights, _ = _variance_bound(blocks, z, fz)
+    evaluations = 2
+    # The value is 2 f, so a first run that ends with f spread over tol / 8
+    # leaves the value within tol / 4 of its best.
+    scale, ftol = fz / 2.0, tol / 8.0
+    gap = max(2.0 * fz - lower, 0.0)
+    while gap > tol and evaluations + 3 <= STAMPFLI_BUDGET:
+        z, fz, used, size = _nelder_mead(objective, z, fz, scale, ftol,
+                                         STAMPFLI_BUDGET - evaluations - 1)
+        bound, bound_states, bound_weights, step = _variance_bound(blocks, z, fz)
+        evaluations += used + 1
+        if bound > lower:
+            lower, states, weights = bound, bound_states, bound_weights
+        gap = max(2.0 * fz - lower, 0.0)
+        # Not certified yet: restart from the best point with a tighter
+        # spread target, the simplex spanned along the dual step (which
+        # leads out of the valleys where Nelder-Mead stalls) or, when that
+        # step is shorter than the last simplex, no smaller than the gap.
+        scale = step if abs(step) > size else max(size, gap / 2.0)
+        ftol *= min(0.25, tol / max(gap, tol))
+    return DerivationNorm(2.0 * fz, z, gap, states, weights, evaluations)
 
 
 def _cluster_diagonal_values(d, tol=1e-8):

@@ -224,7 +224,7 @@ def cmd_character(args):
 def cmd_autos_stampfli(args):
     a = _read_operator(args.operator)
     tol = args.tol if args.tol is not None else 1e-8
-    _emit(args, {"derivation_norm": autos.stampfli_derivation_norm(a, tol=tol)})
+    _emit(args, autos.stampfli_derivation_norm(a, tol=tol).to_obj())
     return 0
 
 

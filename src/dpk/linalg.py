@@ -7,7 +7,7 @@ Schur form with the off-diagonal discarded.  Every wrapper accepts a 0 x 0
 block, so callers need no empty-head guard.  The stacked kernels
 (``block_norms``, ``eigenphase_sums``) take (n, k, k) arrays and give,
 matrix by matrix, the same bits as their one-block counterparts.  Not all
-dense work goes through here: 18 direct ``np.linalg`` calls remain in other
+dense work goes through here: 19 direct ``np.linalg`` calls remain in other
 modules, 4 of them in ``oracles``, whose routes are independent on purpose.
 """
 
@@ -18,8 +18,9 @@ RANK_TOL = 1e-8
 
 
 def herm(a):
-    """Hermitian part (a + a*)/2."""
-    return (a + a.conj().T) / 2.0
+    """Hermitian part (a + a*)/2 of a matrix, or of each matrix of an
+    (n, k, k) stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def svdvals(a):

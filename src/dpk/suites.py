@@ -707,11 +707,11 @@ def _suite_separation(config):
                 lhs = operator_norm(u_sigma @ w - autos.permutation_unitary(other) @ v)
                 case.check_ge("union_discreteness", lhs, np.sqrt(2.0) - 1e-9)
         if trial % 3 == 0:
-            val = autos.stampfli_derivation_norm(w.adjoint() @ u_sigma)
+            val = autos.stampfli_derivation_norm(w.adjoint() @ u_sigma).value
             case.check_ge("automorphism_distance", val, 2.0 - 1e-6)
         if trial % 6 == 3:
             a = _random_normal_operator(rng, m, p)
-            val = autos.stampfli_derivation_norm(a)
+            val = autos.stampfli_derivation_norm(a).value
             case.check_le("stampfli_vs_circle",
                           abs(val - 2.0 * chebyshev_radius_of_spectrum(a)), 1e-6)
 

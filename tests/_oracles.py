@@ -6,6 +6,7 @@ from dpk.autos import permutation_unitary
 from dpk.core import Diagonal, EopOperator, align, operator_norm
 from dpk.errors import KindMismatch, StepTooLarge
 from dpk.factor import exp_ih, require_unitary
+from dpk.linalg import svmax
 from dpk.topology import UnitaryLoop
 
 
@@ -248,3 +249,76 @@ def reference_apply_generators(gens, t):
         uu, tt = align(u, out)
         out = uu @ tt @ uu.adjoint()
     return out
+
+
+# Reference for autos.stampfli_derivation_norm, which now runs Nelder-Mead
+# with a certifying dual bound: the nested golden-section search and
+# compass polish it replaced, kept verbatim (it returns a bare float).
+
+def _golden_min(f, lo, hi, xtol):
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xtol:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    mid = (lo + hi) / 2.0
+    return mid, f(mid)
+
+
+def _nested_golden(objective, x_box, y_box, xtol):
+    def best_over_y(x):
+        return _golden_min(lambda y: objective(x, y), y_box[0], y_box[1], xtol)
+
+    x_star, _ = _golden_min(lambda x: best_over_y(x)[1], x_box[0], x_box[1], xtol)
+    y_star, value = best_over_y(x_star)
+    return x_star, y_star, value
+
+
+def reference_stampfli_derivation_norm(a, tol=1e-8):
+    """Norm of the inner derivation of ``a``: twice the distance to scalars.
+
+    Minimizes max(sigma_max(head - z), sigma_max(tail - z)) over complex z
+    by nested golden-section search on the box |Re z|, |Im z| <= norm(a)
+    (the minimizer lies in the closure of the numerical range), followed by
+    a compass polish.  The objective is jointly convex, hence unimodal
+    along every line.
+    """
+    radius = operator_norm(a)
+    if radius == 0.0:
+        return 0.0
+
+    head, tail = a.head, a.tail
+    eye_h = np.eye(a.m, dtype=np.complex128)
+    eye_t = np.eye(a.p, dtype=np.complex128)
+
+    def objective(x, y):
+        lam = complex(x, y)
+        vals = [svmax(tail - lam * eye_t)]
+        if a.m:
+            vals.append(svmax(head - lam * eye_h))
+        return max(vals)
+
+    x_star, y_star, value = _nested_golden(
+        objective, (-radius, radius), (-radius, radius), tol
+    )
+
+    step = 16.0 * tol
+    while step > tol / 4.0:
+        moved = False
+        for dx, dy in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+            cand = objective(x_star + dx, y_star + dy)
+            if cand < value:
+                x_star, y_star, value = x_star + dx, y_star + dy, cand
+                moved = True
+                break
+        if not moved:
+            step /= 2.0
+    return 2.0 * value

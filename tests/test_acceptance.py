@@ -84,7 +84,8 @@ def test_criterion_09_separation_bounds():
     # Five tail-nontrivial permutations: distance at least 1 - 1e-9 to 300
     # members and sqrt(2) - 1e-9 to 300 model unitaries; derivation-norm
     # distance of the twisted automorphism at least 2 - 1e-6 on 100 pairs;
-    # golden-section value matches the enclosing-circle oracle within 1e-6.
+    # certified derivation-norm value matches the enclosing-circle oracle
+    # within 1e-6.
     _drive(9, "separation", trials=300)
 
 

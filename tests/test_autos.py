@@ -25,7 +25,7 @@ from dpk.core import (
     is_dpk_member,
     operator_norm,
 )
-from dpk.errors import AlignmentError, ModelViolation, NotUnitary
+from dpk.errors import AlignmentError, ConfigError, ModelViolation, NotUnitary
 from dpk.factor import exp_ih
 from dpk.generate import (
     random_compact_hermitian,
@@ -35,13 +35,20 @@ from dpk.generate import (
     random_unitary_member,
     trial_rng,
 )
-from dpk.suites import _apply_generators, _generator_unitaries, _random_word_generators
+from dpk.generate import ExperimentConfig
+from dpk.suites import (
+    _apply_generators,
+    _generator_unitaries,
+    _random_word_generators,
+    run_suite,
+)
 
 from _oracles import (
     grid_chebyshev_value,
     reference_apply_automorphism,
     reference_apply_generators,
     reference_permutation_expand,
+    reference_stampfli_derivation_norm,
     reference_unitary,
 )
 
@@ -184,9 +191,9 @@ def test_rotation_tail_is_not_an_automorphism():
 
 
 def test_stampfli_identity_and_chebyshev_example():
-    assert stampfli_derivation_norm(identity(2, 1)) <= 1e-6
+    assert stampfli_derivation_norm(identity(2, 1)).value <= 1e-6
     a = EopOperator(np.diag([0.0, 2.0]), np.eye(1))
-    val = stampfli_derivation_norm(a)
+    val = stampfli_derivation_norm(a).value
     assert abs(val - 2.0) <= 1e-6
     # Brute-force grid oracle over the spectrum {0, 1, 2}.
     oracle = 2.0 * grid_chebyshev_value([0.0, 1.0, 2.0])
@@ -205,7 +212,7 @@ def test_stampfli_matches_enclosing_circle_on_normal_inputs():
             return q @ np.diag(vals) @ q.conj().T
 
         a = EopOperator(normal_block(6), normal_block(3))
-        val = stampfli_derivation_norm(a)
+        val = stampfli_derivation_norm(a).value
         assert abs(val - 2.0 * chebyshev_radius_of_spectrum(a)) <= 1e-6
 
 
@@ -236,8 +243,124 @@ def test_automorphism_distance_bound():
     sigma = PermutationSpec(np.arange(6), np.array([2, 0, 1]))
     for _ in range(3):
         u = random_unitary_member(rng, 6, 3)
-        val = stampfli_derivation_norm(u.adjoint() @ permutation_unitary(sigma))
+        val = stampfli_derivation_norm(u.adjoint() @ permutation_unitary(sigma)).value
         assert val >= 2.0 - 1e-6
+
+
+def _variance_lower(a, res):
+    """2 sqrt(variance) of the mixed state a stampfli result returns,
+    recomputed from its states and weights at its centre."""
+    blocks = {"head": a.head, "tail": a.tail}
+    moment, mean = 0.0, 0j
+    for (name, x), t in zip(res.states, res.weights):
+        y = (blocks[name] - res.center * np.eye(x.size)) @ x
+        moment += t * np.vdot(y, y).real
+        mean += t * np.vdot(x, y)
+    return 2.0 * np.sqrt(max(moment - abs(mean) ** 2, 0.0))
+
+
+def _check_certificate(a, tol=1e-8):
+    """lower <= new <= lower + gap with lower recomputed from the returned
+    state, gap <= tol, and the golden-section value no lower than lower."""
+    res = stampfli_derivation_norm(a, tol)
+    assert 0.0 <= res.gap <= tol
+    assert min(res.weights) > 0.0 and abs(sum(res.weights) - 1.0) <= 1e-12
+    lower = _variance_lower(a, res)
+    assert lower <= res.value + 1e-12
+    assert res.value <= lower + res.gap + 1e-12
+    old = reference_stampfli_derivation_norm(a)
+    assert old >= lower - 1e-12
+    return res
+
+
+def test_stampfli_certificate_on_separation_operators(monkeypatch):
+    seen = []
+
+    def record(a, tol=1e-8):
+        seen.append(a)
+        return stampfli_derivation_norm(a, tol)
+
+    monkeypatch.setattr(autos, "stampfli_derivation_norm", record)
+    config = ExperimentConfig(seed=20260808, trials=12, head_size=24, period=3,
+                              suite="separation")
+    assert run_suite(config).failures == 0
+    assert len(seen) == 6
+    for a in seen:
+        _check_certificate(a)
+
+
+def _unitary(rng, phases):
+    n = len(phases)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+def _adversarial_operators():
+    rng = trial_rng(11, 3)
+    cube_roots = 2.0 * np.pi * np.arange(3) / 3.0
+    return {
+        # Three tight clusters around the cube roots of unity: the top
+        # singular values of both blocks tie at the minimizer z = 0.
+        "clustered_unitary": (EopOperator(
+            _unitary(rng, np.repeat(cube_roots, 2) + 1e-7 * np.arange(6)),
+            _unitary(rng, cube_roots + 1e-9)), 2.0),
+        # The tail's spectrum {0, 1, i} alone sets the minimizer (1 + i)/2;
+        # the head stays within 0.6 of it.
+        "tail_alone": (EopOperator(
+            0.5 * np.eye(6) + 0.1 * _unitary(rng, rng.uniform(0.0, 6.0, 6)),
+            np.diag([0.0, 1.0, 1j])), np.sqrt(2.0)),
+        "empty_head": (EopOperator(
+            np.zeros((0, 0)), rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))),
+            None),
+        "scalar": ((2.0 - 1j) * identity(6, 3), 0.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_adversarial_operators()))
+def test_stampfli_certificate_holds_at_30_digits(name):
+    mp = pytest.importorskip("mpmath").mp
+    a, expected = _adversarial_operators()[name]
+    res = _check_certificate(a)
+    if expected is not None:
+        assert abs(res.value - expected) <= 1e-8
+    if name == "tail_alone":
+        assert {block for block, _ in res.states} == {"tail"}
+    blocks = {"head": a.head, "tail": a.tail}
+    with mp.workdps(30):
+        z = mp.mpc(res.center.real, res.center.imag)
+
+        def shifted(block):
+            return mp.matrix(block.tolist()) - z * mp.eye(block.shape[0])
+
+        upper = 2 * max(max(mp.svd_c(shifted(b), compute_uv=False))
+                        for b in blocks.values() if b.size)
+        total = mp.fsum(res.weights)
+        moment, mean = mp.mpf(0), mp.mpc(0)
+        for (block, x), t in zip(res.states, res.weights):
+            xv = mp.matrix(x.tolist())
+            xv /= mp.norm(xv)
+            y = shifted(blocks[block]) * xv
+            moment += t / total * mp.norm(y) ** 2
+            mean += t / total * (xv.H * y)[0]
+        lower = 2 * mp.sqrt(moment - abs(mean) ** 2)
+        assert lower <= upper
+        assert abs(upper - res.value) <= 1e-13 * max(1.0, res.value)
+        assert upper - lower <= res.gap + 1e-13 * max(1.0, res.value)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_stampfli_rejects_bad_tol(tol):
+    with pytest.raises(ConfigError):
+        stampfli_derivation_norm(identity(2, 1), tol)
+
+
+def test_stampfli_unreachable_tol_ends_at_the_budget(monkeypatch):
+    a, _ = _adversarial_operators()["empty_head"]
+    monkeypatch.setattr(autos, "STAMPFLI_BUDGET", 30)
+    res = stampfli_derivation_norm(a, 1e-14)
+    assert 28 <= res.evaluations <= 30
+    assert res.gap > 1e-14
+    assert res.value - res.gap <= reference_stampfli_derivation_norm(a) + 1e-12
 
 
 def test_match_finite_spectrum_conjugation_cases():

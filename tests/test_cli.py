@@ -113,6 +113,32 @@ def test_autos_stampfli(tmp_path):
             "--out", str(op_path))
     data = json.loads(run_cli("autos", "stampfli", str(op_path)))
     assert data["derivation_norm"] >= 0.0
+    assert 0.0 <= data["gap"] <= 1e-8
+    assert len(data["center"]) == 2 and data["evaluations"] >= 1
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_autos_stampfli_rejects_bad_tol(tmp_path, tol):
+    op_path = tmp_path / "op.json"
+    run_cli("gen", "unitary", "--seed", "10", "--head", "6", "--period", "3",
+            "--out", str(op_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpk.cli", "autos", "stampfli", str(op_path), "--tol", tol],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert "ConfigError" in proc.stderr and proc.stdout == ""
+
+
+def test_autos_stampfli_tiny_tol_returns(tmp_path):
+    op_path = tmp_path / "op.json"
+    run_cli("gen", "unitary", "--seed", "10", "--head", "6", "--period", "3",
+            "--out", str(op_path))
+    data = json.loads(run_cli("autos", "stampfli", str(op_path), "--tol", "1e-300"))
+    default = json.loads(run_cli("autos", "stampfli", str(op_path)))
+    assert data["evaluations"] <= 1000
+    assert 0.0 <= data["gap"] <= 1e-8
+    assert abs(data["derivation_norm"] - default["derivation_norm"]) <= 1e-8
 
 
 def test_autos_normal_form(tmp_path):
