@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     Diagonal,
     EopOperator,
+    _Frozen,
     _check_expand,
     _check_grid,
     _freeze,
@@ -51,20 +52,6 @@ def _as_perm(values, what):
     if sorted(arr.tolist()) != list(range(arr.size)):
         raise ModelViolation(f"{what} is not a permutation")
     return arr
-
-
-class _Frozen:
-    """Base of immutable values: assigning or deleting an attribute raises
-    AttributeError.  ``__init__``, and caches filled on first use, write
-    through ``object.__setattr__``."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class PermutationSpec(_Frozen):

@@ -20,6 +20,11 @@ from .errors import AlignmentError, NonFiniteEntry, NotInDpk
 from .linalg import block_norm, dedup_complex, exactly_diagonal
 
 EQ_TOL = 1e-12
+# Most cells (m*m + p*p) a common grid may have: an operator on it takes at
+# most 64 MiB as complex128.  Coprime periods would otherwise blow up
+# unchecked: periods 97 and 89 align on a 1.19 GB tail.  Suite and benchmark
+# grids stay below 10^4 cells.
+GRID_CELL_BUDGET = 1 << 22
 
 
 def _as_square(a, what, ndim=2):
@@ -66,6 +71,20 @@ def _check_finite(arr, what):
 def _freeze(arr):
     arr.setflags(write=False)
     return arr
+
+
+class _Frozen:
+    """Base of immutable values: assigning or deleting an attribute raises
+    AttributeError.  ``__init__``, and caches filled on first use, write
+    through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class EopOperator:
@@ -293,9 +312,16 @@ def zero_tail(head, p):
 
 
 def common_grid(values):
-    """Smallest (m, p) grid every value expands to: lcm period, head rounded up."""
+    """Smallest (m, p) grid every value expands to: lcm period, head rounded up.
+
+    A grid of more than ``GRID_CELL_BUDGET`` cells (m*m + p*p) is refused
+    with AlignmentError, before anything is expanded to it.
+    """
     p_new = math.lcm(*(v.p for v in values))
     m_new = -(-max(v.m for v in values) // p_new) * p_new
+    if m_new * m_new + p_new * p_new > GRID_CELL_BUDGET:
+        raise AlignmentError(f"common grid ({m_new},{p_new}) has more than "
+                             f"{GRID_CELL_BUDGET} cells")
     return m_new, p_new
 
 

@@ -55,6 +55,14 @@ def exactly_diagonal(blocks):
     return np.count_nonzero(blocks, axis=(-2, -1)) == np.count_nonzero(d, axis=-1)
 
 
+def all_exactly_diagonal(blocks):
+    """Is every matrix of an (n, k, k) stack exactly diagonal?  One bool,
+    from the whole-stack form of the plain count ``exactly_diagonal`` makes
+    for one matrix."""
+    return bool(np.count_nonzero(blocks)
+                == np.count_nonzero(np.diagonal(blocks, axis1=-2, axis2=-1)))
+
+
 def block_norms(blocks):
     """block_norm of each matrix of an (n, k, k) stack, bit for bit.
 
@@ -137,7 +145,9 @@ def eigenphase_sums(a, b):
 
     ``a`` and ``b`` are (n, k, k) stacks of unitaries; the sums are the
     phase increments of det along consecutive samples, one LAPACK call per
-    stack.
+    stack.  Loops of exactly diagonal samples do not come here:
+    ``topology.loop_winding`` sums the phases of the ratios' diagonal
+    entries, which are the eigenvalues LAPACK returns for them.
     """
     if a.shape[-1] == 0:
         return np.zeros(a.shape[0])

@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     Diagonal,
     EopOperator,
+    _Frozen,
     _as_square,
     _check_finite,
     _check_grid,
@@ -35,7 +36,7 @@ from .errors import (
     StepTooLarge,
 )
 from .factor import log_unitary, require_unitary, unitarity_defects
-from .linalg import block_norms, eigenphase_sums, exactly_diagonal
+from .linalg import all_exactly_diagonal, block_norms, eigenphase_sums
 from .projections import ModelProjection, _canonical_diagonal, pair_index
 
 MAX_LOOP_STEP = 0.5
@@ -53,7 +54,42 @@ def _chunks(n, k):
             for a in range(0, n, step)]
 
 
-class UnitaryLoop:
+def _next_samples(a):
+    """a[k + 1] for each k, the sample after the last being the first; the
+    same as ``np.roll(a, -1, axis=0)``, at a fraction of its cost."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _diagonal_max_step(entries):
+    """Largest step of a loop of exactly diagonal samples, from the (n, k)
+    diagonal entries; NotUnitary first if a sample is not unitary."""
+    if np.max(np.abs(np.conjugate(entries) * entries - 1.0)) > LOOP_UNITARY_TOL:
+        raise NotUnitary("operand is not unitary within tolerance")
+    return float(np.max(np.abs(_next_samples(entries) - entries)))
+
+
+def _chunked_max_step(heads, tails):
+    """Largest step of a loop from its stacks, chunk by chunk; NotUnitary
+    first if a sample is not unitary."""
+    chunks = _chunks(heads.shape[0], max(heads.shape[1], tails.shape[1]))
+    for here, _ in chunks:
+        if np.max(unitarity_defects(heads[here], tails[here])) > LOOP_UNITARY_TOL:
+            raise NotUnitary("operand is not unitary within tolerance")
+    worst = 0.0
+    for here, after in chunks:
+        steps = np.maximum(block_norms(tails[after] - tails[here]),
+                           block_norms(heads[after] - heads[here]))
+        worst = max(worst, float(np.max(steps)))
+    return worst
+
+
+def _diagonal_entries(heads, tails):
+    """(n, m + p) array of the diagonal entries of each sample's blocks."""
+    return np.concatenate([np.diagonal(heads, axis1=1, axis2=2),
+                           np.diagonal(tails, axis1=1, axis2=2)], axis=1)
+
+
+class UnitaryLoop(_Frozen):
     """Closed loop of model unitaries, stored as stacks on one common grid.
 
     ``heads`` is the read-only (n, m, m) stack of head blocks and ``tails``
@@ -70,7 +106,8 @@ class UnitaryLoop:
 
     ``samples[k]`` is a read-only operator whose blocks are views of
     ``heads[k]`` and ``tails[k]``; the views are made on first access only.
-    ``adjoint()`` conjugate-transposes every block of the stacks.
+    ``adjoint()`` conjugate-transposes every block of the stacks.  A loop is
+    immutable: assigning or deleting an attribute raises AttributeError.
 
     Every loop, whichever way it is made, has at least two samples
     (StepTooLarge otherwise), every sample must be unitary within 1e-9
@@ -78,12 +115,19 @@ class UnitaryLoop:
     the first, must stay closer than 0.5 in norm (StepTooLarge), so that
     every entrywise phase step is well inside (-pi/3, pi/3) and the winding
     numbers below are unambiguous.  Unitarity is checked for all samples
-    before any step.  Both checks run on the stacks in chunks of at most
-    ``CHUNK_CELLS`` cells per block, so their temporaries stay bounded;
-    exactly diagonal blocks take no SVD.
+    before any step.
+
+    ``diagonal`` says whether every head and tail block is exactly diagonal
+    (-0.0 counts as zero), decided once by one count over each whole stack.
+    Such a loop is checked on its (n, m + p) diagonal entries: the
+    unitarity defect of an entry d is |conj(d) d - 1|, and a step is the
+    largest |d[k+1] - d[k]|, which is the norm ``block_norms`` gives a
+    diagonal block, bit for bit.  Other loops are checked on the stacks in
+    chunks of at most ``CHUNK_CELLS`` cells per block, so their temporaries
+    stay bounded; exactly diagonal blocks among them take no SVD.
     """
 
-    __slots__ = ("heads", "tails", "max_step", "_samples")
+    __slots__ = ("heads", "tails", "max_step", "diagonal", "_samples")
 
     def __init__(self, samples):
         samples = list(samples)
@@ -127,26 +171,22 @@ class UnitaryLoop:
         """Freeze the stacks, check unitarity and then the steps, and keep them."""
         heads.setflags(write=False)
         tails.setflags(write=False)
-        chunks = _chunks(heads.shape[0], max(heads.shape[1], tails.shape[1]))
-        for here, _ in chunks:
-            if np.max(unitarity_defects(heads[here], tails[here])) > LOOP_UNITARY_TOL:
-                raise NotUnitary("operand is not unitary within tolerance")
-        worst = 0.0
-        for here, after in chunks:
-            steps = np.maximum(block_norms(tails[after] - tails[here]),
-                               block_norms(heads[after] - heads[here]))
-            worst = max(worst, float(np.max(steps)))
+        diagonal = all_exactly_diagonal(heads) and all_exactly_diagonal(tails)
+        if diagonal:
+            worst = _diagonal_max_step(_diagonal_entries(heads, tails))
+        else:
+            worst = _chunked_max_step(heads, tails)
         if worst >= MAX_LOOP_STEP:
             raise StepTooLarge(f"largest sample gap {worst:.3f} >= {MAX_LOOP_STEP}")
-        self.heads = heads
-        self.tails = tails
-        self.max_step = worst
-        self._samples = None
+        for name, value in (("heads", heads), ("tails", tails), ("max_step", worst),
+                            ("diagonal", diagonal), ("_samples", None)):
+            object.__setattr__(self, name, value)
 
     @property
     def samples(self):
         if self._samples is None:
-            self._samples = tuple(EopOperator._new(h, t) for h, t in zip(self.heads, self.tails))
+            object.__setattr__(self, "_samples", tuple(
+                EopOperator._new(h, t) for h, t in zip(self.heads, self.tails)))
         return self._samples
 
     @property
@@ -184,21 +224,23 @@ def loop_winding(loop, kind):
     Only ``heads`` and ``tails`` are read, so a loop made from stacks never
     builds its sample views here.
 
-    ``kind='diagonal'`` needs exactly diagonal samples and returns one
-    integer per head entry and per tail residue (accumulated principal phase
-    increments over the loop).  ``kind='compact'`` needs samples with tail
-    equal to the identity and returns the winding of det(head), accumulated
-    through the eigenphases of each consecutive ratio so no step can alias;
-    the ratios are formed in chunks of at most ``CHUNK_CELLS`` cells.
-    Increments are summed in sample order, as a running total would be.
+    ``kind='diagonal'`` needs exactly diagonal samples (``loop.diagonal``)
+    and returns one integer per head entry and per tail residue
+    (accumulated principal phase increments over the loop).
+    ``kind='compact'`` needs samples with tail equal to the identity and
+    returns the winding of det(head), accumulated through the eigenphases of
+    each consecutive ratio so no step can alias.  The ratios are formed in
+    chunks of at most ``CHUNK_CELLS`` cells; on a diagonal loop a ratio is
+    diagonal, its eigenvalues are its entries conj(h[k]) h[k+1], and their
+    phases are taken directly, with no eigensolver.  Increments are summed
+    in sample order, as a running total would be.
     """
     n, m = len(loop), loop.m
     if kind == "diagonal":
-        if not (exactly_diagonal(loop.heads).all() and exactly_diagonal(loop.tails).all()):
+        if not loop.diagonal:
             raise KindMismatch("diagonal winding needs diagonal samples")
-        entries = np.concatenate([np.diagonal(loop.heads, axis1=1, axis2=2),
-                                  np.diagonal(loop.tails, axis1=1, axis2=2)], axis=1)
-        increments = np.angle(np.roll(entries, -1, axis=0) / entries)
+        entries = _diagonal_entries(loop.heads, loop.tails)
+        increments = np.angle(_next_samples(entries) / entries)
         total = np.cumsum(increments, axis=0)[-1]
         winding = _round_integer(total / (2.0 * np.pi), "diagonal winding")
         return winding[:m].copy(), winding[m:].copy()
@@ -206,11 +248,13 @@ def loop_winding(loop, kind):
         eye_t = np.eye(loop.p, dtype=np.complex128)
         if float(np.max(np.abs(loop.tails - eye_t))) > 1e-9:
             raise KindMismatch("compact winding needs tail = identity")
-        total = 0.0
-        if m:
+        if loop.diagonal:
+            h = np.diagonal(loop.heads, axis1=1, axis2=2)
+            sums = np.sum(np.angle(np.conjugate(h) * _next_samples(h)), axis=1)
+        else:
             sums = np.concatenate([eigenphase_sums(loop.heads[here], loop.heads[after])
                                    for here, after in _chunks(n, m)])
-            total = float(np.cumsum(sums)[-1])
+        total = float(np.cumsum(sums)[-1])
         winding = _round_integer(np.array([total / (2.0 * np.pi)]), "det winding")
         return int(winding[0])
     raise KindMismatch(f"unknown loop kind {kind!r}")

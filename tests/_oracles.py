@@ -65,21 +65,25 @@ def principal_angles(p_head, q_head):
 
 
 def grid_chebyshev_value(points, step=1e-4, refine_from=1e-2):
-    """Two-stage grid minimization of max distance to a point set."""
+    """Two-stage grid minimization of max distance to a point set.
+
+    Each stage evaluates max |pts - lam| at every grid point lam = x + iy at
+    once (x-major, as nested loops over x then y would) and keeps the first
+    minimum.
+    """
     pts = np.asarray(points, dtype=complex).ravel()
     radius = float(np.max(np.abs(pts))) + 0.5
 
-    def value(lam):
-        return float(np.max(np.abs(pts - lam)))
-
     def sweep(cx, cy, half, h):
-        best_val, best_lam = np.inf, 0j
-        for x in np.arange(cx - half, cx + half + h / 2, h):
-            for y in np.arange(cy - half, cy + half + h / 2, h):
-                v = value(complex(x, y))
-                if v < best_val:
-                    best_val, best_lam = v, complex(x, y)
-        return best_val, best_lam
+        xs = np.arange(cx - half, cx + half + h / 2, h)
+        ys = np.arange(cy - half, cy + half + h / 2, h)
+        lam = np.empty((xs.size, ys.size), dtype=complex)
+        lam.real = xs[:, None]
+        lam.imag = ys[None, :]
+        lam = lam.ravel()
+        values = np.max(np.abs(pts[:, None] - lam), axis=0)
+        best = int(np.argmin(values))
+        return float(values[best]), complex(lam[best])
 
     _, lam1 = sweep(0.0, 0.0, radius, refine_from)
     best, _ = sweep(lam1.real, lam1.imag, 2 * refine_from, step)

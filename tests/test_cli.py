@@ -265,6 +265,18 @@ def test_topo_winding_bad_input(tmp_path, content):
     assert "Traceback" not in proc.stderr
 
 
+def test_coprime_periods_over_the_grid_budget_exit_2(tmp_path):
+    from dpk.projections import diagonal_projection
+    from dpk.serial import dump_operator
+
+    # One 1 per tail block, so the written operators keep periods 97 and 89.
+    for name, period in (("a.json", 97), ("b.json", 89)):
+        pattern = [1] + [0] * (period - 1)
+        (tmp_path / name).write_text(dump_operator(diagonal_projection([], pattern).op))
+    _expect_input_error("proj", "index", str(tmp_path / "a.json"),
+                        str(tmp_path / "b.json"), error="AlignmentError")
+
+
 def test_cli_error_reporting(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

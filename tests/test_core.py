@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from dpk.core import (
+    GRID_CELL_BUDGET,
     Diagonal,
     EopOperator,
     align,
     canonical_decompose,
+    common_grid,
     construct,
     delta,
     finite_spectrum_approx,
@@ -318,6 +320,37 @@ def test_json_reader_rejects_non_integer_sizes(declared):
     text = f'{{{declared}, "head": [[[1, 0]]], "tail": [[[1, 0]]]}}'
     with pytest.raises(IoError):
         load_operator(text)
+
+
+def test_common_grid_budget_refuses_before_allocating():
+    import tracemalloc
+
+    # Coprime periods 97 and 89 would align on an 8633 x 8633 tail (1.19 GB).
+    a, b = identity(0, 97), identity(0, 89)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AlignmentError, match="cells"):
+            align(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_common_grid_budget_boundary():
+    from types import SimpleNamespace as Grid
+
+    side = int(GRID_CELL_BUDGET ** 0.5)
+    assert side * side == GRID_CELL_BUDGET
+    assert common_grid([Grid(m=0, p=side)]) == (0, side)
+    with pytest.raises(AlignmentError):
+        common_grid([Grid(m=0, p=side + 1)])
+    with pytest.raises(AlignmentError):
+        common_grid([Grid(m=side, p=1), Grid(m=0, p=1)])
+    # Desk-scale grids, and the 60 x 60 ceiling of the benchmark's request
+    # stream, are far inside the budget.
+    assert common_grid([Grid(m=24, p=3), Grid(m=60, p=60)]) == (60, 60)
+    assert 2 * 60 * 60 * 100 < GRID_CELL_BUDGET
 
 
 def test_values_are_immutable():

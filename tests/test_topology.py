@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,14 @@ from dpk.generate import (
     random_projection,
     trial_rng,
 )
+from dpk.linalg import all_exactly_diagonal
 from dpk.projections import ModelProjection, diagonal_projection
 from dpk.suites import _combo_loop, _generator_loop
 from dpk.topology import (
+    MAX_LOOP_STEP,
     K0Class,
     UnitaryLoop,
+    _chunked_max_step,
     bundle_section,
     k0_add,
     k0_class,
@@ -433,10 +438,11 @@ def test_concatenate_matches_reference(grids):
                               ReferenceUnitaryLoop(list(l1.samples) + list(l2.samples)))
 
 
-@pytest.mark.parametrize("m,p,j,turns,samples", [
-    (24, 3, 0, 1, 64), (24, 3, 4, 1, 64), (6, 2, 5, 2, 128), (4, 4, 1, -1, 64),
-    (5, 1, 2, 3, 192), (1, 1, 0, 1, 16),
-])
+GENERATOR_LOOPS = [(24, 3, 0, 1, 64), (24, 3, 4, 1, 64), (6, 2, 5, 2, 128),
+                   (4, 4, 1, -1, 64), (5, 1, 2, 3, 192), (1, 1, 0, 1, 16)]
+
+
+@pytest.mark.parametrize("m,p,j,turns,samples", GENERATOR_LOOPS)
 def test_generator_loop_matches_per_sample_builder(m, p, j, turns, samples):
     got = _generator_loop(m, p, j, turns, samples)
     want = reference_generator_loop(m, p, j, turns, samples)
@@ -452,3 +458,142 @@ def test_combo_loop_matches_per_sample_builder(ks):
     _assert_same_loop(got, want)
     _assert_same_loop(got.adjoint(), UnitaryLoop([s.adjoint() for s in want.samples]))
     _assert_same_windings(got, want)
+
+
+def test_loop_is_immutable():
+    loop = _combo_loop((1, 0, -1))
+    heads, tails, step = loop.heads, loop.tails, loop.max_step
+    other = _combo_loop((0, 0, 0))
+    for name, value in (("heads", other.heads), ("tails", other.tails),
+                        ("max_step", 0.0), ("diagonal", False), ("_samples", ())):
+        with pytest.raises(AttributeError):
+            setattr(loop, name, value)
+        with pytest.raises(AttributeError):
+            delattr(loop, name)
+    with pytest.raises(AttributeError):
+        loop.extra = 1
+    assert loop.heads is heads and loop.tails is tails and loop.max_step == step
+    assert loop.diagonal is True
+    assert loop.samples is loop.samples  # the sample views are still kept
+
+
+# Exactly diagonal loops are checked and wound through their diagonal
+# entries; the general route checks the blocks.  Both must give the same
+# outcome, max_step bit for bit.
+
+def _diagonal_samples(head_entries, tail_entries):
+    return [Diagonal(h, t).to_operator() for h, t in zip(head_entries, tail_entries)]
+
+
+def _winding_entries(turns, n=32):
+    ts = np.linspace(0.0, 1.0, n, endpoint=False)
+    return np.exp(2j * np.pi * np.asarray(turns, dtype=float) * ts[:, None])
+
+
+def _defect_samples(defect):
+    # Sample 5's first head entry has |d|^2 = 1 + defect.
+    heads = _winding_entries([1, 0])
+    heads[5, 0] *= np.sqrt(1.0 + defect)
+    return _diagonal_samples(heads, np.ones((32, 1)))
+
+
+def _step_samples(half_gap):
+    # Entries a + ib and a - ib alternate: every step, the wrap-around
+    # included, is exactly 2 * half_gap in norm.
+    a = np.sqrt(1.0 - half_gap * half_gap)
+    heads = np.ones((4, 2), dtype=complex)
+    heads[:, 0] = [complex(a, half_gap), complex(a, -half_gap)] * 2
+    return _diagonal_samples(heads, np.ones((4, 1)))
+
+
+def _off_diagonal_samples(value):
+    # A diagonal loop with head entry (0, 1) of sample 3 set to ``value``.
+    ops = _diagonal_samples(_winding_entries([1, -1]), np.ones((32, 1)))
+    head = ops[3].head.copy()
+    head[0, 1] = value
+    ops[3] = EopOperator(head, ops[3].tail)
+    return ops
+
+
+def _wide_tail_samples():
+    # Head and period-3 tail entries winding by different amounts.
+    entries = _winding_entries([1, 0, -1, 0, 2, -1], n=96)
+    return _diagonal_samples(entries[:, :3], entries[:, 3:])
+
+
+DIAGONAL_CASES = {
+    # name: (samples, whether the whole loop is exactly diagonal)
+    "defect_just_under": (lambda: _defect_samples(0.999e-9), True),
+    "defect_just_over": (lambda: _defect_samples(1.001e-9), True),
+    "step_just_under_half": (lambda: _step_samples(0.25 - 2.0 ** -40), True),
+    "step_at_half": (lambda: _step_samples(0.25), True),
+    "empty_head": (_empty_head_samples, True),
+    "negative_zero_off_diagonal": (lambda: _off_diagonal_samples(-0.0), True),
+    "tiny_off_diagonal": (lambda: _off_diagonal_samples(1e-300), False),
+    "wide_tail": (_wide_tail_samples, True),
+    "mixed_periods": (_mixed_period_samples, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGONAL_CASES))
+def test_diagonal_route_matches_general_route(case):
+    make, diagonal = DIAGONAL_CASES[case]
+    samples = make()
+    heads, tails = _stacks(samples)
+    assert (all_exactly_diagonal(heads) and all_exactly_diagonal(tails)) is diagonal
+    batched = _outcome(UnitaryLoop, samples)
+    general = _outcome(_chunked_max_step, heads, tails)
+    if not isinstance(general, type) and general >= MAX_LOOP_STEP:
+        general = StepTooLarge
+    ref = _outcome(ReferenceUnitaryLoop, samples)
+    if isinstance(ref, type):
+        assert batched is ref and general is ref
+        return
+    assert batched.diagonal is diagonal
+    assert batched.max_step == general
+    _assert_matches_reference(batched, ref)
+    adjoint = batched.adjoint()
+    assert adjoint.diagonal is diagonal
+    _assert_matches_reference(adjoint,
+                              ReferenceUnitaryLoop([s.adjoint() for s in ref.samples]))
+
+
+def test_diagonal_cases_cover_each_outcome():
+    outcomes = {case: _outcome(UnitaryLoop, make()) for case, (make, _) in
+                DIAGONAL_CASES.items()}
+    assert outcomes["defect_just_over"] is NotUnitary
+    assert outcomes["step_at_half"] is StepTooLarge
+    assert outcomes["step_just_under_half"].max_step == 0.5 - 2.0 ** -39
+    assert outcomes["defect_just_under"].max_step > 0.0
+    assert loop_winding(outcomes["negative_zero_off_diagonal"], "diagonal")[0].tolist() == [1, -1]
+    assert _outcome(loop_winding, outcomes["tiny_off_diagonal"], "diagonal") is KindMismatch
+    head_w, tail_w = loop_winding(outcomes["wide_tail"], "diagonal")
+    assert head_w.tolist() == [1, 0, -1] and tail_w.tolist() == [0, 2, -1]
+
+
+def test_diagonal_compact_winding_matches_eigvals_route():
+    for ks in itertools.product(range(-3, 4), repeat=3):
+        adjoint = _combo_loop(ks).adjoint()
+        assert adjoint.diagonal
+        assert loop_winding(adjoint, "compact") == reference_loop_winding(adjoint, "compact")
+        assert loop_winding(adjoint, "compact") == -sum(ks)
+    for args in GENERATOR_LOOPS:
+        for loop in (_generator_loop(*args), _generator_loop(*args).adjoint()):
+            assert loop.diagonal
+            assert loop_winding(loop, "compact") == reference_loop_winding(loop, "compact")
+
+
+def test_diagonal_loops_call_no_dense_kernel(monkeypatch):
+    calls = []
+    for name in ("svd", "eigvals"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    loop = _combo_loop((1, -2, 3))
+    assert loop_winding(loop, "diagonal")[0].tolist() == [1, -2, 3]
+    assert loop_winding(loop.adjoint(), "compact") == -2
+    assert calls == []
+    # The counters see a loop that is not diagonal.
+    loop_winding(UnitaryLoop(_mixed_period_compact_samples()), "compact")
+    assert "svd" in calls and "eigvals" in calls
